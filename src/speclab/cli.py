@@ -1,9 +1,10 @@
 """Command-line entry point: `speclab <experiment> [flags]`.
 
-Every config-file key has a flag override; the config file itself is
-optional when the flags pin everything the experiment needs. Exit codes:
-0 success, 1 usage or config error, 2 statistical-check failure (with
---assert), 3 solver failure rate exceeded.
+Most config-file keys have a flag override; solver_tol, solver_max_iter,
+dense_cap, ks_threshold and p_threshold are set in the config file only. The
+config file itself is optional when the flags pin everything the experiment
+needs. Exit codes: 0 success, 1 usage, config or capacity error, 2
+statistical-check failure (with --assert), 3 solver failure rate exceeded.
 """
 from __future__ import annotations
 
@@ -18,6 +19,14 @@ from .harness import (
     parse_config_text,
     run_experiment,
 )
+from .lattice import CapacityError
+from .operators import CapacityDenseError
+from .scaling import RegimeError
+from .tails import DomainError
+
+# errors of the input, not of the program: one line on stderr and exit 1
+USAGE_ERRORS = (ConfigError, CapacityError, CapacityDenseError, DomainError,
+                RegimeError, OSError)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -95,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         text = args.config.read_text() if args.config else ""
         cfg = parse_config_text(text, _overrides_from(args, args.experiment))
         summary = run_experiment(cfg)
-    except (ConfigError, OSError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"speclab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for name, ok in summary.get("checks", {}).items():

@@ -47,7 +47,7 @@ from .stats import (
     rescale,
     validate_intervals,
 )
-from .tails import TailLaw, power_log
+from .tails import FAMILIES, TailLaw, power_log, stretched_exp
 
 EXPERIMENTS = ("ids", "extremal", "maxlaw", "tailsum", "sandwich", "sample")
 
@@ -130,6 +130,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if list(self.radii) != sorted(set(self.radii)):
             raise ConfigError("radii must be strictly increasing")
         if self.scaling_mode not in SCALING_MODES:
@@ -138,8 +142,14 @@ class ExperimentConfig:
             raise ConfigError("source must be V, H, or both")
         if self.solver not in ("auto", "lanczos", "dense"):
             raise ConfigError("solver must be auto, lanczos, or dense")
-        if any(x <= 0 for x in self.x_grid):
-            raise ConfigError("x_grid values must be positive")
+        if not self.x_grid:
+            raise ConfigError("x_grid must not be empty")
+        if not all(0 < x < math.inf for x in self.x_grid):
+            raise ConfigError("x_grid values must be positive and finite")
+        # the law's own constructor rejects a non-finite p or delta
+        for name in ("alpha", "solver_tol", "ks_threshold", "p_threshold", "calibration_x"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if (
             self.experiment in ("extremal", "maxlaw")
             and self.law.family == "stretched_exp"
@@ -661,14 +671,13 @@ def config_from_strings(raw: dict) -> ExperimentConfig:
         return raw.get(key, default)
 
     family = get("family", "power_log")
-    if family == "power_log":
-        law = power_log(float(get("p", 2.0)), int(get("k", 0)))
-    elif family == "stretched_exp":
-        from .tails import stretched_exp
-        law = stretched_exp(float(get("delta", 0.5)))
-    else:
+    if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
     try:
+        if family == "power_log":
+            law = power_log(float(get("p", 2.0)), int(get("k", 0)))
+        else:
+            law = stretched_exp(float(get("delta", 0.5)))
         cfg = ExperimentConfig(
             experiment=str(get("experiment")),
             dimension=int(get("dimension", 1)),

@@ -14,16 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import lambertw
 
 from .lattice import BoxSpec, DEFAULT_SITE_CAP, iter_weight_chunks
-from .tails import (
-    ConvergenceError,
-    DomainError,
-    TailLaw,
-    f_inv,
-    invert_increasing,
-    tail_prob,
-)
+from .tails import DomainError, TailLaw, f_inv, tail_prob
 
 SCALING_MODES = ("power", "critical", "flat", "calibrated")
 
@@ -32,6 +26,10 @@ REGIME_TOL = 1e-12
 
 class RegimeError(ValueError):
     """Scaling mode incompatible with (d, alpha, p)."""
+
+
+class ConvergenceError(RuntimeError):
+    """The calibration bisection failed to bracket or to converge."""
 
 
 def check_regime(mode: str, d: int, law: TailLaw, alpha: float) -> None:
@@ -86,19 +84,21 @@ def h_eval(k: int, x) -> float:
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def h_inv(k: int, y: float, rtol: float = 1e-12) -> float:
-    """Inverse of h_k on its increasing branch; exact identity for k = 0."""
+def h_inv(k: int, y: float) -> float:
+    """Inverse of h_k on x > 1; exact identity for k = 0.
+
+    Closed form log(x) = k W_0(y**(1/k)/k), polished by two Newton steps on
+    the concave, increasing g(s) = s + k*log(s) - log(y).
+    """
     if y <= 0:
         raise DomainError("h_inv requires y > 0")
     if k == 0:
         return y
-    return invert_increasing(
-        lambda x: x * math.log(x) ** k,
-        y,
-        lo=1.0 + 1e-12,
-        rtol=rtol,
-        dfunc=lambda x: math.log(x) ** (k - 1) * (math.log(x) + k),
-    )
+    log_y = math.log(y)
+    s = k * float(lambertw(math.exp(log_y / k) / k).real)
+    for _ in range(2):
+        s -= (s + k * math.log(s) - log_y) / (1.0 + k / s)
+    return math.exp(s)
 
 
 def critical_mode_coefficient(d: int, p: float, k: int) -> float:

@@ -9,89 +9,24 @@ an atom at `clamp_point`, the smallest point >= max(R, 1) where f reaches 1
 and is increasing from there on. Sampling is exact inverse-transform above
 the clamp: omega = f^{-1}(max(1/u, f(clamp_point))) for uniform u, which
 makes P(omega >= x) = min(1, 1/f(x)) for every x above the clamp.
+The inverses are closed-form through the Lambert W function (Corless, Gonnet,
+Hare, Jeffrey & Knuth, Adv. Comput. Math. 5, 1996): the lower branch W_{-1}
+inverts f for k >= 1 here, and the principal branch W_0 inverts
+h_k(x) = x*log(x)**k in :mod:`speclab.scaling`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
+from scipy.special import lambertw
 
 FAMILIES = ("power_log", "stretched_exp")
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the requested operation."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative inversion failed to reach the requested tolerance."""
-
-
-def invert_increasing(
-    func: Callable[[float], float],
-    y: float,
-    lo: float,
-    hi: float | None = None,
-    rtol: float = 1e-12,
-    max_iter: int = 200,
-    dfunc: Callable[[float], float] | None = None,
-) -> float:
-    """Solve func(x) = y for x >= lo, func strictly increasing on [lo, inf).
-
-    Brackets the root by doubling, narrows it by bisection, and polishes with
-    Newton steps whenever the Newton candidate stays inside the bracket.
-    """
-    f_lo = func(lo)
-    if y < f_lo * (1.0 - 1e-13):
-        raise DomainError(f"target {y} below func({lo}) = {f_lo}")
-    if y <= f_lo:
-        return lo
-    a, fa = lo, f_lo
-    if hi is None:
-        b = lo + 1.0 if lo <= 0 else 2.0 * lo
-        for _ in range(max_iter):
-            fb = func(b)
-            if fb >= y:
-                break
-            a, fa = b, fb
-            b = 2.0 * b if b > 0 else b + 1.0
-        else:
-            raise ConvergenceError(f"could not bracket target {y}")
-        fb = func(b)
-    else:
-        b = hi
-        fb = func(b)
-        if fb < y:
-            raise DomainError(f"target {y} above func({hi}) = {fb}")
-    x = 0.5 * (a + b)
-    for it in range(max_iter):
-        fx = func(x)
-        if abs(fx - y) <= rtol * abs(y):
-            if dfunc is not None:
-                # one polish step to land near machine accuracy
-                d = dfunc(x)
-                if d > 0:
-                    x2 = x - (fx - y) / d
-                    if a < x2 < b:
-                        return x2
-            return x
-        if fx < y:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-        x_new = None
-        if dfunc is not None:
-            d = dfunc(x)
-            if d > 0:
-                cand = x - (fx - y) / d
-                if a < cand < b:
-                    x_new = cand
-        x = x_new if x_new is not None else 0.5 * (a + b)
-        if b - a <= 4.0 * np.finfo(float).eps * max(abs(a), abs(b)):
-            return x
-    raise ConvergenceError(f"no convergence after {max_iter} iterations (target {y})")
 
 
 @dataclass(frozen=True)
@@ -110,20 +45,17 @@ class TailLaw:
 
     def __post_init__(self) -> None:
         if self.family == "power_log":
-            if self.p <= 0:
-                raise ValueError(f"p must be > 0, got {self.p}")
+            if not (self.p > 0 and math.isfinite(self.p)):
+                raise ValueError(f"p must be finite and > 0, got {self.p}")
             if self.k < 0 or int(self.k) != self.k:
                 raise ValueError(f"k must be a nonnegative integer, got {self.k}")
             if self.k == 0:
                 R, clamp = 0.0, 1.0
             else:
                 R = math.exp(self.k / self.p)
-                if _f_power_log(R, self.p, self.k) >= 1.0:
-                    clamp = R
-                else:
-                    clamp = invert_increasing(
-                        lambda x: _f_power_log(x, self.p, self.k), 1.0, lo=R
-                    )
+                clamp = R
+                if _f_power_log(R, self.p, self.k) < 1.0:
+                    clamp = math.exp(float(_log_f_root(self.p, self.k, 0.0, self.k / self.p)))
         elif self.family == "stretched_exp":
             if not 0.0 < self.delta <= 1.0:
                 raise ValueError(f"delta must be in (0, 1], got {self.delta}")
@@ -183,41 +115,52 @@ def f_eval(law: TailLaw, x):
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
-def f_derivative(law: TailLaw, x: float) -> float:
-    """f'(x) on the increasing branch."""
-    if law.family == "power_log":
-        lx = math.log(x)
-        return x ** (law.p - 1.0) * lx ** (-(law.k + 1)) * (law.p * lx - law.k) \
-            if law.k else law.p * x ** (law.p - 1.0)
-    return law.delta * x ** (law.delta - 1.0) * math.exp(x ** law.delta)
+# just above -1/e, the branch point of W_{-1}, where y reaches f(e^(k/p))
+_W_BRANCH = float(np.nextafter(-1.0 / math.e, 0.0))
 
 
-def f_inv(law: TailLaw, y: float, rtol: float = 1e-12) -> float:
-    """Inverse of f on [clamp_point, inf); |f(result) - y| <= rtol*y."""
+def _log_f_root(p: float, k: int, log_y, s_min: float):
+    """s = log(x) >= s_min solving p*s - k*log(s) = log_y, for k >= 1.
+
+    Closed form s = -(k/p) W_{-1}(-(p/k) y**(-1/k)). Next to the branch point
+    W_{-1} keeps only half the digits, so the estimate is raised to the series
+    (k/p)(1 + sqrt(2*gap/k)), gap = log(y) - log(f(e^(k/p))), which is a lower
+    bound on the root, and floored at s_min >= k/p. Three Newton steps on the
+    convex, increasing g(s) = p*s - k*log(s) - log_y then polish it.
+    """
+    r = k / p
+    z = np.maximum(-(p / k) * np.exp(-log_y / k), _W_BRANCH)
+    s = -r * lambertw(z, -1).real
+    gap = np.maximum(log_y - k * (1.0 - math.log(r)), 0.0)
+    s = np.maximum(np.maximum(s, r * (1.0 + np.sqrt(2.0 * gap / k))), s_min)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(3):
+            slope = p - k / s
+            step = np.where(slope > 0.0, (p * s - k * np.log(s) - log_y) / slope, 0.0)
+            s = np.maximum(s - step, s_min)
+    return s
+
+
+def f_inv(law: TailLaw, y: float) -> float:
+    """Inverse of f on [clamp_point, inf); |f(result) - y| <= 1e-12*y."""
     fc = law.f_at_clamp
     if y < fc * (1.0 - 1e-13):
         raise DomainError(f"y = {y} below f(clamp_point) = {fc}")
-    if y <= fc:
-        return law.clamp_point
-    if law.family == "power_log":
-        if law.k == 0:
-            return y ** (1.0 / law.p)
-        return invert_increasing(
-            lambda x: _f_power_log(x, law.p, law.k),
-            y,
-            lo=law.clamp_point,
-            rtol=rtol,
-            dfunc=lambda x: f_derivative(law, x),
-        )
-    return math.log(y) ** (1.0 / law.delta)
+    return float(_f_inv_array(law, np.float64(max(y, fc))))
 
 
-def _f_inv_array(law: TailLaw, y: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def _f_inv_array(law: TailLaw, y):
+    """f^{-1} of y >= f(clamp_point); y <= f(clamp_point) maps to clamp_point."""
     if law.family == "power_log" and law.k == 0:
         return y ** (1.0 / law.p)
     if law.family == "stretched_exp":
         return np.log(y) ** (1.0 / law.delta)
-    return np.array([f_inv(law, float(v), rtol) for v in np.ravel(y)]).reshape(y.shape)
+    y = np.asarray(y, dtype=np.float64)
+    out = np.full(y.shape, law.clamp_point)
+    above = y > law.f_at_clamp
+    s = _log_f_root(law.p, law.k, np.log(y[above]), math.log(law.clamp_point))
+    out[above] = np.maximum(np.exp(s), law.clamp_point)
+    return out
 
 
 def tail_prob(law: TailLaw, x):

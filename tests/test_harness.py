@@ -345,3 +345,47 @@ def test_cli_config_file(tmp_path):
 def test_cli_usage_error_exit_1(tmp_path):
     assert cli_main(["extremal", "--config", str(tmp_path / "missing.txt")]) == EXIT_USAGE
     assert cli_main(["tailsum", "--alpha", "0.5"]) == EXIT_USAGE  # flat + alpha>0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--seed", str(2 ** 64)],
+    ["--workers", "0"],
+    ["--x-grid", "nan"],
+    ["--x-grid", "inf"],
+    ["--x-grid", ""],
+    ["--alpha", "nan", "--scaling-mode", "calibrated"],
+    ["--alpha", "inf", "--scaling-mode", "calibrated"],
+    ["--p", "inf"],
+    ["--p", "nan"],
+    ["--p", "0"],
+    ["--family", "stretched_exp", "--delta", "nan"],
+], ids=lambda flags: "_".join(flags))
+def test_cli_rejects_bad_values_before_compute(tmp_path, capsys, flags):
+    out = tmp_path / "never"
+    code = cli_main(["maxlaw", "--L", "20", "--trials", "1", "--out", str(out)] + flags)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("speclab: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_seed_range_bounds_accepted():
+    for seed in (0, 2 ** 64 - 1):
+        assert parse_config_text(CONFIG_TEXT, {"master_seed": str(seed)}).master_seed == seed
+
+
+@pytest.mark.parametrize("argv", [
+    # d = 3 box over the site cap (CapacityError)
+    ["tailsum", "--dimension", "3", "--L", "250", "--alpha", "0.5", "--p", "1",
+     "--scaling-mode", "power"],
+    # dense spectrum above dense_cap (CapacityDenseError)
+    ["ids", "--dimension", "2", "--L", "40", "--alpha", "0.5"],
+    # calibrated mode whose tail sum can never reach 1/x (DomainError)
+    ["tailsum", "--L", "3", "--alpha", "0.5", "--scaling-mode", "calibrated",
+     "--calibration-x", "0.01"],
+], ids=["capacity", "dense_cap", "no_bracket"])
+def test_cli_maps_library_errors_to_exit_1(tmp_path, capsys, argv):
+    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("speclab: error:") and err.count("\n") == 1

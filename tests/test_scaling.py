@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from speclab.lattice import BoxSpec
 from speclab.scaling import (
@@ -68,6 +69,15 @@ def test_h_eval_k1():
 def test_h_inv_roundtrip_k2():
     x = h_inv(2, 1e6)
     assert x * math.log(x) ** 2 == pytest.approx(1e6, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(exponent=st.floats(0.0, 300.0))
+def test_h_inv_roundtrip(k, exponent):
+    # the W_0 closed form meets the bracketing root-finder's old contract
+    y = 10.0 ** exponent
+    assert abs(h_eval(k, h_inv(k, y)) - y) <= 1e-12 * y
 
 
 def test_h_domain():

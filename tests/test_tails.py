@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from speclab.scaling import ConvergenceError, h_inv
 from speclab.tails import (
     DomainError,
     TailLaw,
     f_eval,
     f_inv,
-    invert_increasing,
     power_log,
     sample_omega,
     sample_omega_array,
@@ -25,6 +26,82 @@ ALL_LAWS = [
     stretched_exp(0.5),
     stretched_exp(1.0),
 ]
+
+# ALL_LAWS plus laws whose clamp sits at the W_{-1} branch point (2,1), (2,3),
+# and one whose sampled values outgrow the oracle's bracket (0.1,1)
+PROPERTY_LAWS = ALL_LAWS + [power_log(0.1, 1), power_log(2.0, 1), power_log(2.0, 3)]
+
+# deterministic examples, so the suite gives the same verdict on every run
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def invert_increasing(func, y, lo, hi=None, rtol=1e-12, max_iter=200, dfunc=None):
+    """Oracle: solve func(x) = y for x >= lo, func strictly increasing.
+
+    Brackets the root by doubling, narrows it by bisection, and polishes with
+    Newton steps whenever the Newton candidate stays inside the bracket.
+    Doubling stops at lo * 2**max_iter, so large roots are out of its reach.
+    """
+    f_lo = func(lo)
+    if y < f_lo * (1.0 - 1e-13):
+        raise DomainError(f"target {y} below func({lo}) = {f_lo}")
+    if y <= f_lo:
+        return lo
+    a = lo
+    if hi is None:
+        b = lo + 1.0 if lo <= 0 else 2.0 * lo
+        for _ in range(max_iter):
+            if func(b) >= y:
+                break
+            a = b
+            b = 2.0 * b if b > 0 else b + 1.0
+        else:
+            raise ConvergenceError(f"could not bracket target {y}")
+    else:
+        b = hi
+        fb = func(b)
+        if fb < y:
+            raise DomainError(f"target {y} above func({hi}) = {fb}")
+    x = 0.5 * (a + b)
+    for _ in range(max_iter):
+        fx = func(x)
+        if abs(fx - y) <= rtol * abs(y):
+            if dfunc is not None:
+                # one polish step to land near machine accuracy
+                d = dfunc(x)
+                if d > 0:
+                    x2 = x - (fx - y) / d
+                    if a < x2 < b:
+                        return x2
+            return x
+        if fx < y:
+            a = x
+        else:
+            b = x
+        x_new = None
+        if dfunc is not None:
+            d = dfunc(x)
+            if d > 0:
+                cand = x - (fx - y) / d
+                if a < cand < b:
+                    x_new = cand
+        x = x_new if x_new is not None else 0.5 * (a + b)
+        if b - a <= 4.0 * np.finfo(float).eps * max(abs(a), abs(b)):
+            return x
+    raise ConvergenceError(f"no convergence after {max_iter} iterations (target {y})")
+
+
+def oracle_f_inv(law, y):
+    """f^{-1} by the bracketing root-finder, for power_log with k >= 1."""
+    p, k = law.p, law.k
+
+    def dfunc(x):
+        lx = math.log(x)
+        return x ** (p - 1.0) * lx ** (-(k + 1)) * (p * lx - k)
+
+    return invert_increasing(
+        lambda x: x ** p * math.log(x) ** (-k), y, lo=law.clamp_point, dfunc=dfunc
+    )
 
 
 def law_id(law):
@@ -134,6 +211,72 @@ def test_roundtrip_f_inv_of_f_eval(law):
         assert abs(back - x) / x <= 1e-10
 
 
+@pytest.mark.parametrize("law", PROPERTY_LAWS, ids=law_id)
+@PROPERTY_SETTINGS
+@given(exponent=st.floats(-16.0, 25.0))
+def test_f_inv_backward_error(law, exponent):
+    # y = f(clamp)(1 + delta), delta from 1e-16 to 1e25: from next to the
+    # W_{-1} branch point, for (1,1), (2,1) and (2,3), far into the tail
+    y = law.f_at_clamp * (1.0 + 10.0 ** exponent)
+    x = f_inv(law, y)
+    assert abs(f_eval(law, x) - y) <= 1e-12 * y
+    assert x >= law.clamp_point
+
+
+@pytest.mark.parametrize("law", PROPERTY_LAWS, ids=law_id)
+@PROPERTY_SETTINGS
+@given(shrink=st.floats(0.0, 1e-13))
+def test_atom_maps_to_clamp_exactly(law, shrink):
+    fc = law.f_at_clamp
+    assert f_inv(law, fc * (1.0 - shrink)) == law.clamp_point
+    if fc >= 1.0:
+        u = np.array([1.0, 1.0 / fc, min(1.0, 1.0 / (fc * (1.0 - shrink)))])
+        assert np.all(sample_omega_array(law, u) == law.clamp_point)
+
+
+def test_small_p_samples_reach_the_far_tail():
+    # regression: the bracketing root-finder stops doubling at clamp * 2**200,
+    # below the root for y >= 2.5e5 when p = 0.1, so uniforms below about
+    # 1e-5 used to raise instead of sampling
+    law = power_log(0.1, 1)
+    with pytest.raises(ConvergenceError):
+        oracle_f_inv(law, 2.5e5)
+    u = 2.0 ** -np.arange(0, 54, dtype=np.float64)
+    omega = sample_omega_array(law, u)
+    assert np.all(np.isfinite(omega))
+    y = np.maximum(1.0 / u, law.f_at_clamp)
+    assert np.all(np.abs(f_eval(law, omega) - y) <= 1e-12 * y)
+
+
+@pytest.mark.parametrize("law", [law for law in PROPERTY_LAWS if law.k >= 1], ids=law_id)
+def test_closed_form_matches_root_finder(law):
+    # wherever the oracle brackets the root, both inverses agree; close to the
+    # branch point f is flat in x, so agreement is checked through f
+    fc = law.f_at_clamp
+    checked = 0
+    for y in fc * (1.0 + np.geomspace(1e-12, 1e25, 150)):
+        try:
+            want = oracle_f_inv(law, float(y))
+        except ConvergenceError:
+            continue
+        got = f_inv(law, float(y))
+        assert abs(f_eval(law, got) - f_eval(law, want)) <= 2e-12 * y
+        if y >= fc * (1.0 + 1e-4):
+            assert got == pytest.approx(want, rel=1e-10)
+        checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_h_inv_matches_root_finder(k):
+    for y in np.geomspace(1.0, 1e50, 60):
+        want = invert_increasing(
+            lambda x: x * math.log(x) ** k, float(y), lo=1.0 + 1e-12,
+            dfunc=lambda x: math.log(x) ** (k - 1) * (math.log(x) + k),
+        )
+        assert h_inv(k, float(y)) == pytest.approx(want, rel=1e-10)
+
+
 def test_invert_increasing_errors():
     with pytest.raises(DomainError):
         invert_increasing(lambda x: x, 0.5, lo=1.0)
@@ -177,7 +320,7 @@ def test_samples_never_below_clamp(law):
     rng = np.random.default_rng(5)
     u = 1.0 - rng.random(10_000)
     omega = sample_omega_array(law, u)
-    assert np.all(omega >= law.clamp_point - 1e-12)
+    assert np.all(omega >= law.clamp_point)
 
 
 def test_sampler_tail_calibration_monte_carlo():
