@@ -5,7 +5,10 @@ solver (Householder reduction to tridiagonal form, then implicit-shift
 QL/QR); for one-dimensional boxes the operator is already tridiagonal and
 the full spectrum comes straight from the tridiagonal QL driver in O(n^2).
 The extremal solver is thick-restart Lanczos with full reorthogonalization
-of the Krylov basis, converging the m largest eigenvalues by residual.
+of the Krylov basis by classical Gram-Schmidt applied twice (CGS2), converging
+the m largest eigenvalues by residual. The basis is stored one vector per
+contiguous row, and the Ritz values of the projected matrix are checked every
+RITZ_STRIDE = 4 steps rather than on every step.
 """
 from __future__ import annotations
 
@@ -17,6 +20,9 @@ import scipy.linalg
 from .operators import DENSE_CAP_DEFAULT, CapacityDenseError, LatticeOperator
 
 TRIDIAG_CAP_DEFAULT = 200_000
+# Lanczos steps between two Ritz checks: an eigh of the projected matrix
+# costs more than a step, and convergence is seen at most 3 steps late
+RITZ_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -28,16 +34,6 @@ class Spectrum:
     residuals: np.ndarray | None = None
     converged: bool = True
     iterations: int = 0
-
-    def descending(self) -> np.ndarray:
-        return self.values[::-1]
-
-    def to_dict(self) -> dict:
-        out = {"method": self.method, "values": self.values.tolist(),
-               "converged": self.converged}
-        if self.residuals is not None:
-            out["residuals"] = self.residuals.tolist()
-        return out
 
     def positive_descending(self) -> np.ndarray:
         """Positive eigenvalues in decreasing order (extremal view)."""
@@ -69,6 +65,24 @@ def tridiagonal_spectrum(op: LatticeOperator, cap: int = TRIDIAG_CAP_DEFAULT) ->
     return Spectrum(values=vals, method="dense")
 
 
+def full_spectrum_path(
+    dimension: int,
+    n: int,
+    dense_cap: int = DENSE_CAP_DEFAULT,
+    tridiag_cap: int = TRIDIAG_CAP_DEFAULT,
+) -> str:
+    """The exact path `full_spectrum` takes for an n-site operator with hopping.
+
+    Returns "tridiagonal" in dimension 1 and "dense" otherwise; raises
+    CapacityDenseError when n exceeds that path's cap, so a configuration
+    can be rejected before any operator is built.
+    """
+    path, cap = ("tridiagonal", tridiag_cap) if dimension == 1 else ("dense", dense_cap)
+    if n > cap:
+        raise CapacityDenseError(f"{n} sites exceeds {path} cap {cap}")
+    return path
+
+
 def full_spectrum(
     op: LatticeOperator,
     dense_cap: int = DENSE_CAP_DEFAULT,
@@ -77,7 +91,7 @@ def full_spectrum(
     """All eigenvalues by the cheapest exact path available for the operator."""
     if op.kind == "diagonal":
         return dense_spectrum(op)
-    if op.spec.dimension == 1:
+    if full_spectrum_path(op.spec.dimension, op.n, dense_cap, tridiag_cap) == "tridiagonal":
         return tridiagonal_spectrum(op, cap=tridiag_cap)
     return dense_spectrum(op, dense_cap=dense_cap)
 
@@ -93,11 +107,18 @@ def extremal_topk(
     """The m largest eigenvalues by thick-restart Lanczos.
 
     Full reorthogonalization keeps the Krylov basis orthonormal so no ghost
-    copies of converged eigenvalues appear. Convergence is declared per Ritz
-    value when its residual drops below tol * (2d + max|V|), an exact upper
-    bound on the operator norm. When the basis reaches its cap it is
-    compressed to the leading Ritz vectors and the iteration continues.
-    Residuals of the returned pairs are re-verified with one apply each.
+    copies of converged eigenvalues appear: each new vector is projected
+    against the whole basis, then projected once more (CGS2; two passes of
+    classical Gram-Schmidt reach working-precision orthogonality, Giraud,
+    Langou & Rozloznik 2005). Convergence is declared per Ritz value when its
+    residual drops below tol * (2d + max|V|), an exact upper bound on the
+    operator norm. The projected matrix is diagonalized and the residuals
+    estimated only every RITZ_STRIDE = 4 steps once the basis holds m vectors,
+    and always at a restart, at max_iter and when the basis spans the space;
+    `iterations` may therefore exceed that of a check on every step by at
+    most 3. When the basis reaches its cap it is compressed to the leading
+    Ritz vectors and the iteration continues. Residuals of the returned pairs
+    are re-verified with one apply each.
 
     Like any single-vector Lanczos, exact eigenvalue multiplicities are
     resolved only through rounding noise across restarts; random potentials
@@ -124,71 +145,74 @@ def extremal_topk(
     keep = min(2 * m + 5, basis_cap - 2)
     matvec = op.apply
 
-    Q = np.zeros((n, basis_cap + 1))
+    # one basis vector per contiguous row: projections read only Q[:t]
+    Q = np.zeros((basis_cap + 1, n))
     T = np.zeros((basis_cap + 1, basis_cap + 1))
     q = rng.standard_normal(n)
     q /= np.linalg.norm(q)
-    Q[:, 0] = q
+    Q[0] = q
     u = matvec(q)
     T[0, 0] = q @ u
     w = u - T[0, 0] * q
     t = 1
     niter = 1
     while True:
-        for _ in range(2):
-            w -= Q[:, :t] @ (Q[:, :t].T @ w)
+        # w has had one projection against Q[:t]; a second pass restores
+        # orthogonality to working precision (CGS2, "twice is enough")
+        w -= (Q[:t] @ w) @ Q[:t]
         beta = float(np.linalg.norm(w))
-        theta, S = np.linalg.eigh(T[:t, :t])
-        top = np.arange(max(t - m, 0), t)
-        res_est = np.abs(beta * S[t - 1, top])
-        done = t >= m and np.all(res_est <= tol_abs)
-        if done or niter >= max_iter or t >= n:
-            nm = min(m, t)
-            sel = np.arange(t - nm, t)
-            vals = theta[sel]
-            Y = Q[:, :t] @ S[:, sel]
-            resid = np.empty(nm)
-            for i in range(nm):
-                resid[i] = np.linalg.norm(matvec(Y[:, i]) - vals[i] * Y[:, i])
-            return Spectrum(
-                values=vals,
-                method="lanczos",
-                residuals=resid,
-                converged=bool(done and np.all(resid <= tol_abs * 4.0)),
-                iterations=niter,
-            )
+        last = niter >= max_iter or t >= n
+        if last or t == basis_cap or (t >= m and (t - m) % RITZ_STRIDE == 0):
+            theta, S = np.linalg.eigh(T[:t, :t])
+            top = np.arange(max(t - m, 0), t)
+            res_est = np.abs(beta * S[t - 1, top])
+            done = t >= m and np.all(res_est <= tol_abs)
+            if done or last:
+                nm = min(m, t)
+                sel = np.arange(t - nm, t)
+                vals = theta[sel]
+                Y = S[:, sel].T @ Q[:t]
+                resid = np.empty(nm)
+                for i in range(nm):
+                    resid[i] = np.linalg.norm(matvec(Y[i]) - vals[i] * Y[i])
+                return Spectrum(
+                    values=vals,
+                    method="lanczos",
+                    residuals=resid,
+                    converged=bool(done and np.all(resid <= tol_abs * 4.0)),
+                    iterations=niter,
+                )
         fresh_direction = beta <= 1e-14 * norm_est
         if fresh_direction:
             # invariant subspace hit: continue in a fresh random direction;
             # the true coupling of that direction to the old basis is zero
             w = rng.standard_normal(n)
             for _ in range(2):
-                w -= Q[:, :t] @ (Q[:, :t].T @ w)
+                w -= (Q[:t] @ w) @ Q[:t]
             beta = float(np.linalg.norm(w))
         if t == basis_cap:
             idx = np.arange(t - keep, t)
-            Y = Q[:, :t] @ S[:, idx]
-            Q[:, :keep] = Y
+            Q[:keep] = S[:, idx].T @ Q[:t]
             T[:, :] = 0.0
             T[:keep, :keep] = np.diag(theta[idx])
             coupling = (0.0 if fresh_direction else beta) * S[t - 1, idx]
             q = w / beta
-            Q[:, keep] = q
+            Q[keep] = q
             T[keep, :keep] = coupling
             T[:keep, keep] = coupling
             u = matvec(q)
             T[keep, keep] = q @ u
             t = keep + 1
-            w = u - Q[:, :t] @ (Q[:, :t].T @ u)
+            w = u - (Q[:t] @ u) @ Q[:t]
         else:
             q = w / beta
-            Q[:, t] = q
+            Q[t] = q
             u = matvec(q)
-            h = Q[:, : t + 1].T @ u
+            h = Q[: t + 1] @ u
             T[:t, t] = h[:t]
             T[t, :t] = h[:t]
             T[t, t] = h[t]
-            w = u - Q[:, : t + 1] @ h
+            w = u - h @ Q[: t + 1]
             t += 1
         niter += 1
 

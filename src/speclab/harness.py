@@ -19,15 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lattice import BoxSpec, site_array
+from .lattice import BoxSpec, CapacityError, check_capacity, site_array
 from .operators import (
+    CapacityDenseError,
     build_hamiltonian,
     free_laplacian_eigs,
     restrict_potential,
     sample_potential,
     v_spectrum,
 )
-from .eigen import extremal_topk, full_spectrum
+from .eigen import extremal_topk, full_spectrum, full_spectrum_path
 from .scaling import (
     SCALING_MODES,
     check_regime,
@@ -125,6 +126,14 @@ class ExperimentConfig:
         x_min = min(candidates) if candidates else 0.5
         return max(8, math.ceil(4.0 / x_min))
 
+    def exact_solver(self, n: int) -> bool:
+        """Whether an n-site Hamiltonian is solved by `full_spectrum`.
+
+        Applies where the experiment solves H for its top spectrum
+        (extremal, maxlaw, sandwich); ids always takes the full spectrum.
+        """
+        return self.solver == "dense" or (self.solver == "auto" and n <= self.dense_cap)
+
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
@@ -158,18 +167,26 @@ class ExperimentConfig:
             # delta = 1 has f'/f -> 1, not 0: the Poisson limit machinery
             # does not apply; only the bracket experiment admits it
             raise ConfigError("delta = 1 is allowed only in the sandwich experiment")
-        # interval and regime compatibility must fail before any compute;
-        # only the rescaling experiments consume a scaling mode
+        # interval, capacity and regime errors must fail before any compute
         try:
             if self.intervals:
                 validate_intervals(self.intervals)
+            # the site cap of each box, and the exact path's cap wherever
+            # the run takes a full spectrum
+            solves_h = self.experiment == "sandwich" or (
+                self.experiment in ("extremal", "maxlaw") and self.source != "V"
+            )
             for L in self.radii:
-                self.box(L)
+                box = self.box(L)
+                check_capacity(box)
+                if self.experiment == "ids" or (solves_h and self.exact_solver(box.site_count)):
+                    full_spectrum_path(self.dimension, box.site_count, self.dense_cap)
+            # only the rescaling experiments consume a scaling mode
             if self.experiment in ("extremal", "maxlaw", "tailsum"):
                 check_regime(self.scaling_mode, self.dimension, self.law, self.alpha)
         except ConfigError:
             raise
-        except ValueError as exc:
+        except (ValueError, CapacityError, CapacityDenseError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:
@@ -218,10 +235,7 @@ def _solve_extremal(cfg: ExperimentConfig, op, trial: int):
     exact_counts) where exact_counts says whether the returned set contains
     every eigenvalue that could land in a counting interval.
     """
-    use_dense = cfg.solver == "dense" or (
-        cfg.solver == "auto" and op.n <= cfg.dense_cap
-    )
-    if use_dense:
+    if cfg.exact_solver(op.n):
         spec_full = full_spectrum(op, dense_cap=cfg.dense_cap)
         return spec_full.positive_descending(), 0.0, True, True
     m = min(cfg.resolved_top_m(), op.n)

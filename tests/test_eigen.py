@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from speclab.eigen import dense_spectrum, extremal_topk, full_spectrum, tridiagonal_spectrum
 from speclab.harness import STREAM_SOLVER, derive_stream
@@ -16,6 +17,10 @@ def make_instance(d, L, alpha=0.5, law=power_log(2.0, 0), seed=0, trial=0):
 
 def solver_rng(seed=0, trial=0):
     return derive_stream(seed, trial, STREAM_SOLVER)
+
+
+# deterministic examples, so the suite gives the same verdict on every run
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 # --- dense paths -------------------------------------------------------------
@@ -119,6 +124,64 @@ def test_unconverged_flagged_partial_results():
     s = extremal_topk(op, 10, solver_rng(3), tol=1e-14, max_iter=12)
     assert not s.converged
     assert s.values.size == 10
+
+
+def test_topk_restarts_off_the_ritz_stride():
+    # (basis_cap - m) % 4 != 0: a restart falls between two scheduled Ritz
+    # checks and must compress with the Ritz pairs of the full basis
+    spec, pot = make_instance(2, 15, seed=5)
+    op = build_hamiltonian(spec, pot, "full")
+    m, basis_cap = 8, 43
+    assert (basis_cap - m) % 4 != 0
+    s = extremal_topk(op, m, solver_rng(5), basis_cap=basis_cap)
+    assert s.iterations > basis_cap  # at least one restart
+    assert s.converged
+    dense = dense_spectrum(op).values[-m:]
+    assert np.max(np.abs(s.values - dense)) <= 1e-8 * op.norm_bound()
+
+
+def test_max_iter_off_the_ritz_stride_returns_m_flagged_values():
+    spec, pot = make_instance(2, 15, seed=3)
+    op = build_hamiltonian(spec, pot, "full")
+    m, max_iter = 8, 13
+    assert (max_iter - m) % 4 != 0
+    s = extremal_topk(op, m, solver_rng(3), max_iter=max_iter)
+    assert s.iterations == max_iter
+    assert not s.converged
+    assert s.values.size == m and s.residuals.size == m
+
+
+@pytest.mark.parametrize("d, L", [(1, 40), (2, 4)])
+def test_topk_just_above_the_dense_threshold(d, L):
+    # n = 81: the smallest box whose default basis (80 vectors) is below n
+    spec, pot = make_instance(d, L, seed=1)
+    op = build_hamiltonian(spec, pot, "full")
+    s = extremal_topk(op, 8, solver_rng(1))
+    assert op.n == 81 and s.method == "lanczos"
+    assert s.converged
+    dense = dense_spectrum(op).values[-8:]
+    assert np.max(np.abs(s.values - dense)) <= 1e-8 * op.norm_bound()
+
+
+@PROPERTY_SETTINGS
+@given(
+    box=st.sampled_from([(1, L) for L in range(41, 121)] + [(2, L) for L in range(5, 9)]),
+    m=st.integers(1, 10),
+    p=st.floats(1.0, 4.0),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_topk_matches_dense_and_obeys_weyl_bound(box, m, p, alpha, seed):
+    d, L = box
+    spec, pot = make_instance(d, L, alpha=alpha, law=power_log(p, 0), seed=seed)
+    op = build_hamiltonian(spec, pot, "full")
+    s = extremal_topk(op, m, solver_rng(seed))
+    assert s.method == "lanczos" and s.converged
+    tol = 1e-8 * op.norm_bound()
+    assert np.max(np.abs(s.values - dense_spectrum(op).values[-m:])) <= tol
+    # Weyl: the hopping part has norm <= 2d, so it moves each E_j by <= 2d
+    top_v = np.sort(pot.values)[-m:]
+    assert np.max(np.abs(s.values - top_v)) <= 2 * d + tol
 
 
 def test_positive_descending_filter():

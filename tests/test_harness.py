@@ -119,6 +119,22 @@ def test_config_validation_failures():
         parse_config_text(CONFIG_TEXT, {"alpha": "1.0", "scaling_mode": "power"})
 
 
+def test_capacity_rejected_where_the_run_needs_the_full_spectrum():
+    d2 = "experiment = extremal\ndimension = 2\nradii = 40\nalpha = 0\nsolver = dense\n"
+    with pytest.raises(ConfigError, match="dense cap 4096"):
+        parse_config_text(d2)
+    with pytest.raises(ConfigError, match="dense cap 4096"):
+        parse_config_text(d2.replace("extremal", "sandwich") + "x_grid = 6\n")
+    # the potential alone, or Lanczos above dense_cap, needs no dense matrix
+    parse_config_text(d2 + "source = V\n")
+    parse_config_text(d2.replace("dense", "auto"))
+    parse_config_text(d2 + "dense_cap = 6561\n")
+    d1 = "experiment = ids\nradii = 100000\nalpha = 0.5\n"
+    with pytest.raises(ConfigError, match="tridiagonal cap"):
+        parse_config_text(d1)
+    parse_config_text(d1.replace("100000", "99999"))
+
+
 def test_boundary_delta_rejected_outside_sandwich():
     text = "experiment = maxlaw\nfamily = stretched_exp\ndelta = 1\nalpha = 0\nradii = 50\n"
     with pytest.raises(ConfigError):
@@ -375,17 +391,21 @@ def test_seed_range_bounds_accepted():
         assert parse_config_text(CONFIG_TEXT, {"master_seed": str(seed)}).master_seed == seed
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, before_compute", [
     # d = 3 box over the site cap (CapacityError)
-    ["tailsum", "--dimension", "3", "--L", "250", "--alpha", "0.5", "--p", "1",
-     "--scaling-mode", "power"],
+    (["tailsum", "--dimension", "3", "--L", "250", "--alpha", "0.5", "--p", "1",
+      "--scaling-mode", "power"], True),
     # dense spectrum above dense_cap (CapacityDenseError)
-    ["ids", "--dimension", "2", "--L", "40", "--alpha", "0.5"],
-    # calibrated mode whose tail sum can never reach 1/x (DomainError)
-    ["tailsum", "--L", "3", "--alpha", "0.5", "--scaling-mode", "calibrated",
-     "--calibration-x", "0.01"],
+    (["ids", "--dimension", "2", "--L", "40", "--alpha", "0.5"], True),
+    # calibrated mode whose tail sum can never reach 1/x (DomainError); the
+    # bracket is searched at run time
+    (["tailsum", "--L", "3", "--alpha", "0.5", "--scaling-mode", "calibrated",
+      "--calibration-x", "0.01"], False),
 ], ids=["capacity", "dense_cap", "no_bracket"])
-def test_cli_maps_library_errors_to_exit_1(tmp_path, capsys, argv):
-    assert cli_main(argv + ["--out", str(tmp_path / "o")]) == EXIT_USAGE
+def test_cli_maps_library_errors_to_exit_1(tmp_path, capsys, argv, before_compute):
+    out = tmp_path / "o"
+    assert cli_main(argv + ["--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("speclab: error:") and err.count("\n") == 1
+    if before_compute:
+        assert not out.exists()
