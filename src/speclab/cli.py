@@ -1,8 +1,10 @@
 """Command-line entry point: `speclab <experiment> [flags]`.
 
-Most config-file keys have a flag override; solver_tol, solver_max_iter,
-dense_cap, ks_threshold and p_threshold are set in the config file only. The
-config file itself is optional when the flags pin everything the experiment
+Every config-file key except `experiment` (the subcommand) has exactly one
+flag, `--<key>` with dashes for underscores, taking the key's string value;
+`radii` is spelled `--L` (repeat it to build a ladder), `master_seed` is
+`--seed`, and a bare `--assert` means `assert = true`. Flags override the
+config file, which is optional when the flags pin everything the experiment
 needs. Exit codes: 0 success, 1 usage, config or capacity error, 2
 statistical-check failure (with --assert), 3 solver failure rate exceeded.
 """
@@ -13,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .harness import (
+    CONFIG_KEYS,
     EXIT_USAGE,
     EXPERIMENTS,
     ConfigError,
@@ -28,81 +31,52 @@ from .tails import DomainError
 USAGE_ERRORS = (ConfigError, CapacityError, CapacityDenseError, DomainError,
                 RegimeError, OSError)
 
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, help="flat key = value config file")
-    sub.add_argument("--L", action="append", type=int, dest="radii_list",
-                     metavar="L", help="box radius; repeat to build a ladder")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int, dest="master_seed")
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--assert", action="store_true", dest="assert_checks",
-                     help="exit 2 when a statistical check fails")
-    sub.add_argument("--out", type=str)
-    sub.add_argument("--dimension", type=int)
-    sub.add_argument("--norm-kind", choices=("euclidean", "sup"))
-    sub.add_argument("--family", choices=("power_log", "stretched_exp"))
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--k", type=int)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--scaling-mode",
-                     choices=("power", "critical", "flat", "calibrated"))
-    sub.add_argument("--intervals", type=str,
-                     help="comma-separated a:b pairs, b may be inf")
-    sub.add_argument("--x-grid", type=str, help="comma-separated x values")
-    sub.add_argument("--source", choices=("V", "H", "both"))
-    sub.add_argument("--top-m", type=int)
-    sub.add_argument("--solver", choices=("auto", "lanczos", "dense"))
-    sub.add_argument("--calibration-x", type=float)
+# keys whose flag is not spelled --<key>, and the argparse options of a flag
+FLAG_NAMES = {"radii": "--L", "master_seed": "--seed"}
+FLAG_OPTIONS = {
+    "radii": dict(action="append", metavar="L", help="box radius; repeat to build a ladder"),
+    "assert": dict(nargs="?", const="true", help="exit 2 when a statistical check fails"),
+    "intervals": dict(help="comma-separated a:b pairs, b may be inf"),
+    "x_grid": dict(help="comma-separated x values"),
+}
 
 
-def _overrides_from(args: argparse.Namespace, experiment: str) -> dict:
-    out = {"experiment": experiment}
-    mapping = {
-        "radii": ",".join(str(r) for r in args.radii_list) if args.radii_list else None,
-        "trials": args.trials,
-        "master_seed": args.master_seed,
-        "workers": args.workers,
-        "out": args.out,
-        "dimension": args.dimension,
-        "norm_kind": args.norm_kind,
-        "family": args.family,
-        "p": args.p,
-        "k": args.k,
-        "delta": args.delta,
-        "alpha": args.alpha,
-        "scaling_mode": args.scaling_mode,
-        "intervals": args.intervals,
-        "x_grid": args.x_grid,
-        "source": args.source,
-        "top_m": args.top_m,
-        "solver": args.solver,
-        "calibration_x": args.calibration_x,
-    }
-    for key, val in mapping.items():
-        if val is not None:
-            out[key] = str(val)
-    if args.assert_checks:
-        out["assert"] = "true"
-    return out
+def flag_of(key: str) -> str:
+    return FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="speclab",
         description="Spectral statistics of lattice operators with random decaying potentials",
     )
     subs = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
-        _add_common_flags(subs.add_parser(name))
+        sub = subs.add_parser(name)
+        sub.add_argument("--config", type=Path, help="flat key = value config file")
+        for key in CONFIG_KEYS:
+            if key != "experiment":
+                sub.add_argument(flag_of(key), dest=key, **FLAG_OPTIONS.get(key, {}))
+    return parser
+
+
+def overrides_from(args: argparse.Namespace) -> dict:
+    """The config keys the command line sets, as strings."""
+    given = {key: val for key, val in vars(args).items()
+             if key in CONFIG_KEYS and val is not None}
+    if "radii" in given:
+        given["radii"] = ",".join(given["radii"])
+    return given
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         text = args.config.read_text() if args.config else ""
-        cfg = parse_config_text(text, _overrides_from(args, args.experiment))
+        cfg = parse_config_text(text, overrides_from(args))
         summary = run_experiment(cfg)
     except USAGE_ERRORS as exc:
         print(f"speclab: error: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ import scipy.linalg
 from .operators import DENSE_CAP_DEFAULT, CapacityDenseError, LatticeOperator
 
 TRIDIAG_CAP_DEFAULT = 200_000
+LANCZOS_TOL_DEFAULT = 1e-10
+LANCZOS_MAX_ITER_DEFAULT = 2000
 # Lanczos steps between two Ritz checks: an eigh of the projected matrix
 # costs more than a step, and convergence is seen at most 3 steps late
 RITZ_STRIDE = 4
@@ -100,8 +102,8 @@ def extremal_topk(
     op: LatticeOperator,
     m: int,
     rng: np.random.Generator,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
+    tol: float = LANCZOS_TOL_DEFAULT,
+    max_iter: int = LANCZOS_MAX_ITER_DEFAULT,
     basis_cap: int | None = None,
 ) -> Spectrum:
     """The m largest eigenvalues by thick-restart Lanczos.

@@ -13,14 +13,16 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .lattice import BoxSpec, CapacityError, check_capacity, site_array
 from .operators import (
+    DENSE_CAP_DEFAULT,
     CapacityDenseError,
     build_hamiltonian,
     free_laplacian_eigs,
@@ -28,7 +30,13 @@ from .operators import (
     sample_potential,
     v_spectrum,
 )
-from .eigen import extremal_topk, full_spectrum, full_spectrum_path
+from .eigen import (
+    LANCZOS_MAX_ITER_DEFAULT,
+    LANCZOS_TOL_DEFAULT,
+    extremal_topk,
+    full_spectrum,
+    full_spectrum_path,
+)
 from .scaling import (
     SCALING_MODES,
     check_regime,
@@ -48,16 +56,13 @@ from .stats import (
     rescale,
     validate_intervals,
 )
-from .tails import FAMILIES, TailLaw, power_log, stretched_exp
-
-EXPERIMENTS = ("ids", "extremal", "maxlaw", "tailsum", "sandwich", "sample")
+from .tails import TailLaw
 
 # Stream offsets within a trial's keyed generator; far enough apart that
 # draws for different purposes can never overlap.
 STREAM_POTENTIAL = 0
 STREAM_SOLVER = 1 << 32
 
-EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ASSERT = 2
 EXIT_SOLVER = 3
@@ -85,31 +90,77 @@ def derive_stream(
     return np.random.Generator(bitgen)
 
 
+# ---------------------------------------------------------------------------
+# config schema: every config key is declared once, on its ExperimentConfig
+# field, with the parser of its string value; defaults are the fields'
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(","))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(s) for s in text.split(",") if s)
+
+
+def _intervals(text: str) -> tuple[tuple[float, float], ...]:
+    """Comma-separated a:b pairs; an empty or `inf` b is infinity."""
+    out = []
+    for token in filter(None, text.split(",")):
+        a, b = token.split(":")
+        out.append((float(a), math.inf if b.strip() in ("inf", "") else float(b)))
+    return tuple(out)
+
+
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ValueError(f"expected one of {', '.join(_BOOLS)}")
+    return _BOOLS[text.lower()]
+
+
+def _key(parse: Callable[[str], object], default=MISSING, key: str | None = None):
+    """A field set by config key `key` (default: the field's name) via `parse`."""
+    return field(default=default, metadata={"key": key, "parse": parse})
+
+
+# the law is set by four keys, passed as keyword arguments to law_from_keys
+LAW_KEYS = {"family": str, "p": float, "k": int, "delta": float}
+
+
+def law_from_keys(family: str = "power_log", p: float = 2.0, k: int = 0,
+                  delta: float = 0.5) -> TailLaw:
+    """The tail law of the `family` key; p and k or delta parametrize it."""
+    return TailLaw.from_dict({"family": family, "p": p, "k": k, "delta": delta})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str
-    dimension: int = 1
-    radii: tuple[int, ...] = (100,)
-    norm_kind: str = ""  # empty -> per-experiment default
-    law: TailLaw = field(default_factory=lambda: power_log(2.0, 0))
-    alpha: float = 0.0
-    scaling_mode: str = "flat"
-    trials: int = 1
-    master_seed: int = 20260809
-    intervals: tuple[tuple[float, float], ...] = ()
-    x_grid: tuple[float, ...] = (1.0,)
-    source: str = "both"  # V | H | both
-    top_m: int = 0  # 0 -> max(8, ceil(4/x_min))
-    solver: str = "auto"  # auto | lanczos | dense
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 2000
-    dense_cap: int = 4096
-    workers: int = 1
-    out_dir: str = "out"
-    assert_checks: bool = False
-    ks_threshold: float = 0.07
-    p_threshold: float = 0.01
-    calibration_x: float = 1.0
+    experiment: str = _key(str)
+    dimension: int = _key(int, 1)
+    radii: tuple[int, ...] = _key(_ints, (100,))
+    norm_kind: str = _key(str, "")  # empty -> per-experiment default
+    law: TailLaw = field(default_factory=law_from_keys, metadata={"keys": LAW_KEYS})
+    alpha: float = _key(float, 0.0)
+    scaling_mode: str = _key(str, "flat")
+    trials: int = _key(int, 1)
+    master_seed: int = _key(int, 20260809)
+    intervals: tuple[tuple[float, float], ...] = _key(_intervals, ())
+    x_grid: tuple[float, ...] = _key(_floats, (1.0,))
+    source: str = _key(str, "both")  # V | H | both
+    top_m: int = _key(int, 0)  # 0 -> max(8, ceil(4/x_min))
+    solver: str = _key(str, "auto")  # auto | lanczos | dense
+    solver_tol: float = _key(float, LANCZOS_TOL_DEFAULT)
+    solver_max_iter: int = _key(int, LANCZOS_MAX_ITER_DEFAULT)
+    dense_cap: int = _key(int, DENSE_CAP_DEFAULT)
+    workers: int = _key(int, 1)
+    out_dir: str = _key(str, "out", key="out")
+    assert_checks: bool = _key(_bool, False, key="assert")
+    ks_threshold: float = _key(float, 0.07)
+    p_threshold: float = _key(float, 0.01)
+    calibration_x: float = _key(float, 1.0)
 
     def resolved_norm_kind(self) -> str:
         if self.norm_kind:
@@ -137,10 +188,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        for name, least in (("trials", 1), ("workers", 1), ("solver_max_iter", 1),
+                            ("top_m", 0), ("dense_cap", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if list(self.radii) != sorted(set(self.radii)):
@@ -156,9 +207,12 @@ class ExperimentConfig:
         if not all(0 < x < math.inf for x in self.x_grid):
             raise ConfigError("x_grid values must be positive and finite")
         # the law's own constructor rejects a non-finite p or delta
-        for name in ("alpha", "solver_tol", "ks_threshold", "p_threshold", "calibration_x"):
+        for name in ("alpha", "ks_threshold", "p_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("solver_tol", "calibration_x"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if (
             self.experiment in ("extremal", "maxlaw")
             and self.law.family == "stretched_exp"
@@ -253,8 +307,7 @@ def _extremal_trial(args):
     t0 = time.perf_counter()
     spec = cfg.box(L)
     rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
-    potential = sample_potential(spec, cfg.law, cfg.alpha, rng,
-                                 seed_path=(cfg.master_seed, trial))
+    potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
     out = {"trial": trial, "L": L, "wall": time.perf_counter() - t0}
     m = cfg.resolved_top_m()
     for source in ("V", "H"):
@@ -269,7 +322,7 @@ def _extremal_trial(args):
             eigs, resid, converged, exact_counts = _solve_extremal(cfg, op, trial)
         points = rescale(eigs, cfg.law, gamma, source=source)
         counts = (
-            count_in_intervals(points, cfg.intervals).counts.tolist()
+            count_in_intervals(points, cfg.intervals).tolist()
             if cfg.intervals else []
         )
         undercount_risk = (
@@ -298,8 +351,7 @@ def _ids_trial(args):
     t0 = time.perf_counter()
     spec = cfg.box(L)
     rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
-    potential = sample_potential(spec, cfg.law, cfg.alpha, rng,
-                                 seed_path=(cfg.master_seed, trial))
+    potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
     op = build_hamiltonian(spec, potential, "full")
     eigs = full_spectrum(op, dense_cap=cfg.dense_cap).values
     free = free_laplacian_eigs(cfg.dimension, L)
@@ -322,8 +374,7 @@ def _sandwich_trial(args):
     t0 = time.perf_counter()
     big_spec = cfg.box(max(cfg.radii))
     rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
-    big = sample_potential(big_spec, cfg.law, cfg.alpha, rng,
-                           seed_path=(cfg.master_seed, trial))
+    big = sample_potential(big_spec, cfg.law, cfg.alpha, rng)
     e1 = {}
     e1v = {}
     for L in cfg.radii:
@@ -348,7 +399,7 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
 # experiment drivers
 
 
-def _run_tailsum(cfg: ExperimentConfig):
+def _run_tailsum(cfg: ExperimentConfig, out: Path):
     rows_per_l: dict[int, list[list[str]]] = {}
     summary: dict = {"per_L": {}}
     checks: dict[str, bool] = {}
@@ -391,7 +442,9 @@ def _run_tailsum(cfg: ExperimentConfig):
     return rows_per_l, ["L", "x", "gamma_mode", "gamma", "sum", "abs_err_vs_inv_x"], summary, checks, 0
 
 
-def _run_extremal(cfg: ExperimentConfig, with_counts: bool):
+def _run_extremal(cfg: ExperimentConfig, out: Path):
+    """The extremal experiment; maxlaw is the same without interval counts."""
+    with_counts = cfg.experiment == "extremal"
     sources = ("V", "H") if cfg.source == "both" else (cfg.source,)
     count_cols = [f"count_{_interval_label(a, b)}" for a, b in cfg.intervals] \
         if with_counts else []
@@ -475,7 +528,7 @@ def _run_extremal(cfg: ExperimentConfig, with_counts: bool):
     return rows_per_l, header, summary, checks, (EXIT_SOLVER if solver_failed else 0)
 
 
-def _run_ids(cfg: ExperimentConfig):
+def _run_ids(cfg: ExperimentConfig, out: Path):
     header = ["trial", "L", "ks_bulk", "levy_bulk", "ks_full", "n_outside_band"]
     rows_per_l: dict[int, list[list[str]]] = {}
     summary: dict = {"per_L": {}}
@@ -502,7 +555,7 @@ def _run_ids(cfg: ExperimentConfig):
     return rows_per_l, header, summary, checks, 0
 
 
-def _run_sandwich(cfg: ExperimentConfig):
+def _run_sandwich(cfg: ExperimentConfig, out: Path):
     header = ["trial", "L", "e1_h", "e1_v"]
     payloads = [(cfg, t) for t in range(cfg.trials)]
     results = _map_trials(cfg, _sandwich_trial, payloads)
@@ -568,8 +621,7 @@ def _run_sample(cfg: ExperimentConfig, out: Path):
     L = cfg.radii[0]
     spec = cfg.box(L)
     rng = derive_stream(cfg.master_seed, 0, STREAM_POTENTIAL)
-    potential = sample_potential(spec, cfg.law, cfg.alpha, rng,
-                                 seed_path=(cfg.master_seed, 0))
+    potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
     op = build_hamiltonian(spec, potential, "full")
     sites = site_array(spec)
     rows = []
@@ -586,6 +638,19 @@ def _run_sample(cfg: ExperimentConfig, out: Path):
     return {L: rows}, header, summary, {}, 0
 
 
+# experiment name -> driver(cfg, out) returning (CSV rows per radius, header,
+# summary, checks, exit code); drivers look trial functions up at call time
+DRIVERS: dict[str, Callable] = {
+    "ids": _run_ids,
+    "extremal": _run_extremal,
+    "maxlaw": _run_extremal,
+    "tailsum": _run_tailsum,
+    "sandwich": _run_sandwich,
+    "sample": _run_sample,
+}
+EXPERIMENTS = tuple(DRIVERS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one configured experiment; write CSVs, summary, and manifest.
 
@@ -595,20 +660,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    if cfg.experiment == "tailsum":
-        rows_per_l, header, summary, checks, code = _run_tailsum(cfg)
-    elif cfg.experiment == "extremal":
-        rows_per_l, header, summary, checks, code = _run_extremal(cfg, with_counts=True)
-    elif cfg.experiment == "maxlaw":
-        rows_per_l, header, summary, checks, code = _run_extremal(cfg, with_counts=False)
-    elif cfg.experiment == "ids":
-        rows_per_l, header, summary, checks, code = _run_ids(cfg)
-    elif cfg.experiment == "sandwich":
-        rows_per_l, header, summary, checks, code = _run_sandwich(cfg)
-    elif cfg.experiment == "sample":
-        rows_per_l, header, summary, checks, code = _run_sample(cfg, out)
-    else:  # pragma: no cover - validate() already rejects
-        raise ConfigError(cfg.experiment)
+    rows_per_l, header, summary, checks, code = DRIVERS[cfg.experiment](cfg, out)
 
     csv_files = []
     for L, rows in rows_per_l.items():
@@ -662,73 +714,31 @@ def parse_config_text(text: str, overrides: dict | None = None) -> ExperimentCon
     return config_from_strings(raw)
 
 
-def _parse_interval(token: str) -> tuple[float, float]:
-    a, b = token.split(":")
-    return float(a), math.inf if b.strip() in ("inf", "") else float(b)
+# config key -> (ExperimentConfig field, parser of the key's string value)
+CONFIG_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    key: (f.name, parse)
+    for f in fields(ExperimentConfig)
+    for key, parse in (f.metadata.get("keys")
+                       or {f.metadata["key"] or f.name: f.metadata["parse"]}).items()
+}
 
 
 def config_from_strings(raw: dict) -> ExperimentConfig:
-    known = {
-        "experiment", "dimension", "radii", "norm_kind", "family", "p", "k",
-        "delta", "alpha", "scaling_mode", "trials", "master_seed",
-        "intervals", "x_grid", "source", "top_m", "solver", "solver_tol",
-        "solver_max_iter", "dense_cap", "workers", "out", "assert",
-        "ks_threshold", "p_threshold", "calibration_x",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("missing required key: experiment")
-
-    def get(key, default=None):
-        return raw.get(key, default)
-
-    family = get("family", "power_log")
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}")
+    values = {}
+    for key, text in raw.items():
+        try:
+            values[key] = CONFIG_KEYS[key][1](str(text))
+        except ValueError as exc:
+            raise ConfigError(f"bad value {text!r} for {key}: {exc}") from exc
     try:
-        if family == "power_log":
-            law = power_log(float(get("p", 2.0)), int(get("k", 0)))
-        else:
-            law = stretched_exp(float(get("delta", 0.5)))
-        cfg = ExperimentConfig(
-            experiment=str(get("experiment")),
-            dimension=int(get("dimension", 1)),
-            radii=tuple(int(s) for s in str(get("radii", "100")).split(",")),
-            norm_kind=str(get("norm_kind", "")),
-            law=law,
-            alpha=float(get("alpha", 0.0)),
-            scaling_mode=str(get("scaling_mode", "flat")),
-            trials=int(get("trials", 1)),
-            master_seed=int(get("master_seed", 20260809)),
-            intervals=tuple(
-                _parse_interval(t) for t in str(get("intervals", "")).split(",") if t
-            ),
-            x_grid=tuple(float(s) for s in str(get("x_grid", "1")).split(",") if s),
-            source=str(get("source", "both")),
-            top_m=int(get("top_m", 0)),
-            solver=str(get("solver", "auto")),
-            solver_tol=float(get("solver_tol", 1e-10)),
-            solver_max_iter=int(get("solver_max_iter", 2000)),
-            dense_cap=int(get("dense_cap", 4096)),
-            workers=int(get("workers", 1)),
-            out_dir=str(get("out", "out")),
-            assert_checks=str(get("assert", "false")).lower() in ("1", "true", "yes"),
-            ks_threshold=float(get("ks_threshold", 0.07)),
-            p_threshold=float(get("p_threshold", 0.01)),
-            calibration_x=float(get("calibration_x", 1.0)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+        law = law_from_keys(**{k: values.pop(k) for k in LAW_KEYS if k in values})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg = ExperimentConfig(law=law, **{CONFIG_KEYS[k][0]: v for k, v in values.items()})
     cfg.validate()
     return cfg
-
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update preserving validation."""
-    new = replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})
-    new.validate()
-    return new

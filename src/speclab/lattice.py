@@ -1,4 +1,4 @@
-"""Finite cubic lattice boxes, site enumeration, and decay weights.
+"""Finite cubic lattice boxes, site coordinates, and decay weights.
 
 The box of radius L in dimension d is the set of integer vectors whose
 coordinates all lie in [-L, L]; it has (2L+1)**d sites. Sites are indexed
@@ -48,14 +48,6 @@ class BoxSpec:
         return self.side ** self.dimension
 
 
-@dataclass(frozen=True)
-class SiteIndex:
-    """A lattice site together with its lexicographic ordinal."""
-
-    site: tuple[int, ...]
-    ordinal: int
-
-
 def check_capacity(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> None:
     if spec.site_count > site_cap:
         raise CapacityError(
@@ -63,44 +55,20 @@ def check_capacity(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> None:
         )
 
 
-def ordinal_of(spec: BoxSpec, site: tuple[int, ...]) -> int:
-    """Lexicographic ordinal of a site (first coordinate most significant)."""
-    if len(site) != spec.dimension:
-        raise ValueError("site dimension mismatch")
-    L, side = spec.radius, spec.side
-    ordinal = 0
-    for c in site:
-        if abs(c) > L:
-            raise ValueError(f"site {site} outside box of radius {L}")
-        ordinal = ordinal * side + (c + L)
-    return ordinal
+def site_coords(spec: BoxSpec, ordinals: np.ndarray) -> np.ndarray:
+    """(len(ordinals), d) int coordinates of sites given by ordinal.
 
-
-def site_of(spec: BoxSpec, ordinal: int) -> tuple[int, ...]:
-    """Inverse of :func:`ordinal_of`."""
-    if not 0 <= ordinal < spec.site_count:
-        raise ValueError(f"ordinal {ordinal} out of range")
-    L, side = spec.radius, spec.side
-    coords = []
-    for _ in range(spec.dimension):
-        ordinal, digit = divmod(ordinal, side)
-        coords.append(digit - L)
-    return tuple(reversed(coords))
-
-
-def enumerate_box(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> Iterator[SiteIndex]:
-    """Yield all sites of the box in lexicographic ordinal order."""
-    check_capacity(spec, site_cap)
-    for ordinal in range(spec.site_count):
-        yield SiteIndex(site=site_of(spec, ordinal), ordinal=ordinal)
+    The ordinal is lexicographic: its base-`side` digits, first coordinate
+    most significant, are the coordinates shifted by the radius.
+    """
+    strides = spec.side ** np.arange(spec.dimension - 1, -1, -1, dtype=np.int64)
+    return (ordinals[:, None] // strides[None, :]) % spec.side - spec.radius
 
 
 def site_array(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> np.ndarray:
     """All sites as an (N, d) int array in lexicographic ordinal order."""
     check_capacity(spec, site_cap)
-    axes = [np.arange(-spec.radius, spec.radius + 1)] * spec.dimension
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return site_coords(spec, np.arange(spec.site_count, dtype=np.int64))
 
 
 def site_norm(site: np.ndarray, norm_kind: str) -> np.ndarray:
@@ -112,13 +80,6 @@ def site_norm(site: np.ndarray, norm_kind: str) -> np.ndarray:
     if norm_kind == "sup":
         return np.max(np.abs(site), axis=axis)
     raise ValueError(f"unknown norm_kind {norm_kind!r}")
-
-
-def site_weight(site, alpha: float, norm_kind: str) -> float:
-    """Decay weight (1 + |n|)**alpha of a single site; equals 1 when alpha=0."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return float((1.0 + site_norm(np.asarray(site), norm_kind)) ** alpha)
 
 
 def weights_array(spec: BoxSpec, alpha: float, site_cap: int = DEFAULT_SITE_CAP) -> np.ndarray:
@@ -145,10 +106,6 @@ def iter_weight_chunks(
     """
     check_capacity(spec, site_cap)
     n_sites = spec.site_count
-    side, L, d = spec.side, spec.radius, spec.dimension
-    strides = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
     for start in range(0, n_sites, chunk):
-        stop = min(start + chunk, n_sites)
-        ords = np.arange(start, stop, dtype=np.int64)
-        coords = (ords[:, None] // strides[None, :]) % side - L
+        coords = site_coords(spec, np.arange(start, min(start + chunk, n_sites), dtype=np.int64))
         yield (1.0 + site_norm(coords, spec.norm_kind)) ** alpha

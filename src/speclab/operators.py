@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoxSpec, DEFAULT_SITE_CAP, check_capacity, weights_array
+from .lattice import BoxSpec, DEFAULT_SITE_CAP, check_capacity, site_coords, weights_array
 from .tails import TailLaw, sample_omega_array
 
 OPERATOR_KINDS = ("full", "diagonal", "free")
@@ -28,7 +28,6 @@ class PotentialSample:
     alpha: float
     omegas: np.ndarray
     values: np.ndarray
-    seed_path: tuple[int, int] = (0, 0)
 
     @property
     def max_abs(self) -> float:
@@ -40,7 +39,6 @@ def sample_potential(
     law: TailLaw,
     alpha: float,
     rng: np.random.Generator,
-    seed_path: tuple[int, int] = (0, 0),
     site_cap: int = DEFAULT_SITE_CAP,
 ) -> PotentialSample:
     """Draw omega for every site and divide by the decay weights.
@@ -51,36 +49,29 @@ def sample_potential(
     u = 1.0 - rng.random(spec.site_count)
     omegas = sample_omega_array(law, u)
     values = omegas / weights_array(spec, alpha, site_cap)
-    return PotentialSample(spec=spec, alpha=alpha, omegas=omegas, values=values,
-                           seed_path=seed_path)
+    return PotentialSample(spec=spec, alpha=alpha, omegas=omegas, values=values)
 
 
 def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSample:
     """Restriction to the concentric sub-box of the given radius.
 
     Lexicographic order is preserved under restriction, so the sub-box arrays
-    are plain masked selections; the omega at a given lattice site is shared
-    between the two boxes.
+    are the central block of the (side,)*d grid, read in row-major order; the
+    omega at a given lattice site is shared between the two boxes (in d = 1
+    the arrays are views of the sampled box's).
     """
     spec = potential.spec
     if radius > spec.radius:
         raise ValueError("restriction radius exceeds the sampled box")
     if radius == spec.radius:
         return potential
-    sub = BoxSpec(spec.dimension, radius, spec.norm_kind)
-    side, L, d = spec.side, spec.radius, spec.dimension
-    ords = np.arange(spec.site_count, dtype=np.int64)
-    mask = np.ones(spec.site_count, dtype=bool)
-    for axis in range(d):
-        stride = side ** (d - 1 - axis)
-        coord = (ords // stride) % side - L
-        mask &= np.abs(coord) <= radius
+    grid = (spec.side,) * spec.dimension
+    block = (slice(spec.radius - radius, spec.radius + radius + 1),) * spec.dimension
     return PotentialSample(
-        spec=sub,
+        spec=BoxSpec(spec.dimension, radius, spec.norm_kind),
         alpha=potential.alpha,
-        omegas=potential.omegas[mask],
-        values=potential.values[mask],
-        seed_path=potential.seed_path,
+        omegas=potential.omegas.reshape(grid)[block].ravel(),
+        values=potential.values.reshape(grid)[block].ravel(),
     )
 
 
@@ -149,12 +140,11 @@ class LatticeOperator:
         """All hopping pairs (i, j) with i < j, ordered by (axis, i)."""
         d, side = self.spec.dimension, self.spec.side
         ords = np.arange(self.n, dtype=np.int64)
+        coords = site_coords(self.spec, ords)
         pairs = []
         for axis in range(d):
-            stride = side ** (d - 1 - axis)
-            digit = (ords // stride) % side
-            src = ords[digit < side - 1]
-            pairs.append(np.stack([src, src + stride], axis=1))
+            src = ords[coords[:, axis] < self.spec.radius]
+            pairs.append(np.stack([src, src + side ** (d - 1 - axis)], axis=1))
         return np.concatenate(pairs, axis=0)
 
     def triplets(self) -> list[tuple[int, int, float]]:

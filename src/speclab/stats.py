@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
-from .lattice import BoxSpec, DEFAULT_SITE_CAP, check_capacity
+from .lattice import BoxSpec, DEFAULT_SITE_CAP, check_capacity, site_coords, site_norm
 from .tails import DomainError, TailLaw, f_eval, tail_prob
 
 
@@ -126,14 +126,6 @@ def levy_distance(sample_a: np.ndarray, sample_b: np.ndarray, tol: float = 1e-6)
     return hi
 
 
-@dataclass(frozen=True)
-class IntervalCounts:
-    """Counts of rescaled points in disjoint positive intervals [a, b)."""
-
-    intervals: tuple[tuple[float, float], ...]
-    counts: np.ndarray
-
-
 def validate_intervals(intervals) -> tuple[tuple[float, float], ...]:
     ivs = tuple((float(a), float(b)) for a, b in intervals)
     for a, b in ivs:
@@ -146,8 +138,8 @@ def validate_intervals(intervals) -> tuple[tuple[float, float], ...]:
     return ivs
 
 
-def count_in_intervals(points: RescaledPointSet, intervals) -> IntervalCounts:
-    """Exact interval counts by binary search on the sorted points."""
+def count_in_intervals(points: RescaledPointSet, intervals) -> np.ndarray:
+    """Exact counts of points in disjoint intervals [a, b), by binary search."""
     ivs = validate_intervals(intervals)
     ascending = np.sort(points.points)
     counts = np.empty(len(ivs), dtype=np.int64)
@@ -155,7 +147,7 @@ def count_in_intervals(points: RescaledPointSet, intervals) -> IntervalCounts:
         lo = np.searchsorted(ascending, a, side="left")
         hi = ascending.size if math.isinf(b) else np.searchsorted(ascending, b, side="left")
         counts[i] = hi - lo
-    return IntervalCounts(intervals=ivs, counts=counts)
+    return counts
 
 
 def interval_intensity(a: float, b: float) -> float:
@@ -274,11 +266,6 @@ def max_limit_cdf(x) -> np.ndarray:
     return float(out) if arr.ndim == 0 else out
 
 
-def max_limit_sample(u) -> np.ndarray:
-    """Inverse transform for the limiting max law: x = -1/log(u)."""
-    return -1.0 / np.log(np.asarray(u, dtype=np.float64))
-
-
 def max_law_test(max_points, name: str = "max_law") -> Report:
     """One-sample KS of the per-trial maxima against exp(-1/x)."""
     xs = np.sort(np.asarray(max_points, dtype=np.float64))
@@ -340,20 +327,12 @@ def exact_max_cdf_ladder(
     big = BoxSpec(spec.dimension, L_max, spec.norm_kind)
     shell_logs = np.zeros(L_max + 1)
     zero_shell = np.zeros(L_max + 1, dtype=bool)
-    side, d, L = big.side, big.dimension, big.radius
-    strides = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
     n_sites = big.site_count
     check_capacity(big, site_cap)
     for start in range(0, n_sites, chunk):
-        stop = min(start + chunk, n_sites)
-        ords = np.arange(start, stop, dtype=np.int64)
-        coords = (ords[:, None] // strides[None, :]) % side - L
+        coords = site_coords(big, np.arange(start, min(start + chunk, n_sites), dtype=np.int64))
         shell = np.max(np.abs(coords), axis=1)
-        if big.norm_kind == "euclidean":
-            norm = np.sqrt(np.sum(coords.astype(np.float64) ** 2, axis=1))
-        else:
-            norm = shell.astype(np.float64)
-        weight = (1.0 + norm) ** alpha
+        weight = (1.0 + site_norm(coords, big.norm_kind)) ** alpha
         tails = tail_prob(law, weight * x)
         dead = tails >= 1.0
         if np.any(dead):
@@ -367,26 +346,6 @@ def exact_max_cdf_ladder(
     for i, r in enumerate(radii):
         out[i] = 0.0 if dead_cum[r] else math.exp(log_cum[r])
     return out
-
-
-def envelope_bounds(
-    x: float, d: int, alpha: float, delta: float, c1: float, c2: float
-) -> tuple[float, float]:
-    """Boundedness envelope for the all-L maximum under a stretched tail.
-
-    Lower: 1 - c1*exp(-x**delta). Upper: exp(-c2 * x**(-d/alpha)
-    * exp(-2*D*x**delta)) with D = max(1, 2**(alpha*delta - 1)). The
-    constants c1, c2 are caller-supplied; they are fitted or reported, never
-    asserted.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
-    D = max(1.0, 2.0 ** (alpha * delta - 1.0))
-    lower = 1.0 - c1 * math.exp(-(x ** delta))
-    upper = math.exp(-c2 * x ** (-d / alpha) * math.exp(-2.0 * D * x ** delta))
-    return lower, upper
 
 
 def fit_lower_envelope_constant(

@@ -31,7 +31,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class TailLaw:
-    """Tail function family with derived monotonicity threshold and clamp.
+    """Tail function family with its derived clamp point.
 
     Construct through :func:`power_log` or :func:`stretched_exp`.
     """
@@ -40,7 +40,6 @@ class TailLaw:
     p: float = 0.0
     k: int = 0
     delta: float = 0.0
-    monotone_from: float = field(init=False, default=0.0)
     clamp_point: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -50,19 +49,18 @@ class TailLaw:
             if self.k < 0 or int(self.k) != self.k:
                 raise ValueError(f"k must be a nonnegative integer, got {self.k}")
             if self.k == 0:
-                R, clamp = 0.0, 1.0
+                clamp = 1.0
             else:
-                R = math.exp(self.k / self.p)
-                clamp = R
-                if _f_power_log(R, self.p, self.k) < 1.0:
+                # f is increasing from R = e^(k/p) on
+                clamp = math.exp(self.k / self.p)
+                if _f_power_log(clamp, self.p, self.k) < 1.0:
                     clamp = math.exp(float(_log_f_root(self.p, self.k, 0.0, self.k / self.p)))
         elif self.family == "stretched_exp":
             if not 0.0 < self.delta <= 1.0:
                 raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-            R, clamp = 0.0, 0.0
+            clamp = 0.0
         else:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        object.__setattr__(self, "monotone_from", R)
         object.__setattr__(self, "clamp_point", clamp)
 
     @property

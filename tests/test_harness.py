@@ -1,22 +1,25 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from speclab.cli import build_parser, overrides_from
 from speclab.cli import main as cli_main
 from speclab.eigen import full_spectrum
 from speclab.harness import (
     EXIT_ASSERT,
     EXIT_SOLVER,
     EXIT_USAGE,
+    CONFIG_KEYS,
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     derive_stream,
     parse_config_text,
     run_experiment,
-    with_overrides,
 )
 from speclab.lattice import BoxSpec
 from speclab.operators import build_hamiltonian, sample_potential
@@ -239,8 +242,7 @@ def test_v_source_matches_diagonal_operator_pipeline(tmp_path):
         trial = int(row[0])
         spec = BoxSpec(1, 60)
         pot = sample_potential(
-            spec, cfg.law, cfg.alpha, derive_stream(cfg.master_seed, trial, 0),
-            seed_path=(cfg.master_seed, trial),
+            spec, cfg.law, cfg.alpha, derive_stream(cfg.master_seed, trial, 0)
         )
         op = build_hamiltonian(spec, pot, "diagonal")
         eigs = full_spectrum(op).positive_descending()
@@ -331,12 +333,6 @@ def test_solver_failure_exit_code(tmp_path):
     assert summary["flagged_trials_total"] == 4
 
 
-def test_with_overrides_revalidates():
-    cfg = parse_config_text(CONFIG_TEXT)
-    with pytest.raises(ConfigError):
-        with_overrides(cfg, trials=0)
-
-
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_tailsum(tmp_path, capsys):
@@ -376,6 +372,14 @@ def test_cli_usage_error_exit_1(tmp_path):
     ["--p", "nan"],
     ["--p", "0"],
     ["--family", "stretched_exp", "--delta", "nan"],
+    ["--calibration-x", "0"],
+    ["--calibration-x", "-1"],
+    ["--solver-tol", "-1"],
+    ["--solver-tol", "0"],
+    ["--solver-max-iter", "0"],
+    ["--top-m", "-3"],
+    ["--dense-cap", "-1"],
+    ["--assert", "ture"],
 ], ids=lambda flags: "_".join(flags))
 def test_cli_rejects_bad_values_before_compute(tmp_path, capsys, flags):
     out = tmp_path / "never"
@@ -384,6 +388,89 @@ def test_cli_rejects_bad_values_before_compute(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("speclab: error:") and err.count("\n") == 1
     assert not out.exists()
+
+
+# --- one schema: config-file keys and CLI flags ---------------------------------
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = ("extremal", "ids", "maxlaw", "sample", "sandwich", "tailsum")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_configs_load(name):
+    cfg = parse_config_text((CONFIGS_DIR / f"{name}.cfg").read_text())
+    cfg.validate()
+    assert cfg.experiment == name
+    assert sorted(p.stem for p in CONFIGS_DIR.glob("*.cfg")) == list(SHIPPED)
+
+
+def expected_flag(key):
+    return {"radii": "--L", "master_seed": "--seed"}.get(key, "--" + key.replace("_", "-"))
+
+
+# key -> (a value other than the default, config lines both sides share)
+PARITY = {
+    "dimension": ("2", ""),
+    "radii": ("10,20", ""),
+    "norm_kind": ("sup", ""),
+    "family": ("stretched_exp", ""),
+    "p": ("3", ""),
+    "k": ("1", ""),
+    "delta": ("0.25", "family = stretched_exp"),
+    "alpha": ("0.25", "scaling_mode = power"),
+    "scaling_mode": ("calibrated", ""),
+    "trials": ("7", ""),
+    "master_seed": ("5", ""),
+    "intervals": ("1:2,2:inf", ""),
+    "x_grid": ("0.5,2", ""),
+    "source": ("V", ""),
+    "top_m": ("12", ""),
+    "solver": ("lanczos", ""),
+    "solver_tol": ("1e-8", ""),
+    "solver_max_iter": ("500", ""),
+    "dense_cap": ("100", ""),
+    "workers": ("2", ""),
+    "out": ("elsewhere", ""),
+    "assert": ("true", ""),
+    "ks_threshold": ("0.1", ""),
+    "p_threshold": ("0.05", ""),
+    "calibration_x": ("2", ""),
+}
+
+
+def test_parity_covers_every_key():
+    assert set(PARITY) == set(CONFIG_KEYS) - {"experiment"}
+
+
+@pytest.mark.parametrize("key", sorted(PARITY))
+def test_config_line_and_flag_build_equal_configs(key):
+    value, shared = PARITY[key]
+    base = f"experiment = extremal\nradii = 20\n{shared}\n"
+    from_file = parse_config_text(base + f"{key} = {value}\n")
+    if key == "radii":  # the ladder flag is repeated, one radius each
+        flags = [tok for r in value.split(",") for tok in ("--L", r)]
+    else:
+        flags = [expected_flag(key), value]
+    args = build_parser().parse_args(["extremal"] + flags)
+    from_flag = parse_config_text(base, overrides_from(args))
+    assert from_flag == from_file
+    assert from_file != parse_config_text(base)
+
+
+def test_bare_assert_flag_means_true():
+    args = build_parser().parse_args(["extremal", "--assert"])
+    assert parse_config_text("", overrides_from(args)).assert_checks
+    args = build_parser().parse_args(["extremal", "--assert", "no"])
+    assert not parse_config_text("", overrides_from(args)).assert_checks
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_help_lists_one_flag_per_key(experiment, capsys):
+    assert cli_main([experiment, "--help"]) == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    listed = re.findall(r"^\s+(-[-\w]+)", options, flags=re.M)
+    expected = ["-h", "--config"] + [expected_flag(k) for k in CONFIG_KEYS if k != "experiment"]
+    assert sorted(listed) == sorted(expected)
 
 
 def test_seed_range_bounds_accepted():

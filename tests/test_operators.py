@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speclab.harness import derive_stream
-from speclab.lattice import BoxSpec, ordinal_of
+from speclab.lattice import BoxSpec
 from speclab.operators import (
     CapacityDenseError,
     build_hamiltonian,
@@ -13,12 +13,14 @@ from speclab.operators import (
 )
 from speclab.tails import power_log, stretched_exp
 
+from lattice_oracle import enumerate_box, ordinal_of
+
 
 def random_potential(d, L, alpha=0.5, law=power_log(2.0, 0), seed=0, trial=0,
                      norm="euclidean"):
     spec = BoxSpec(d, L, norm)
     rng = derive_stream(seed, trial, 0)
-    return spec, sample_potential(spec, law, alpha, rng, seed_path=(seed, trial))
+    return spec, sample_potential(spec, law, alpha, rng)
 
 
 # --- construction ----------------------------------------------------------
@@ -173,13 +175,13 @@ def test_v_spectrum_sorts_descending():
     assert v_spectrum(pot)[0] == np.max(pot.values)
 
 
-def test_restriction_shares_omega_per_site():
-    spec, pot = random_potential(2, 6, alpha=1.0)
+@pytest.mark.parametrize("norm", ["euclidean", "sup"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_restriction_shares_omega_per_site(d, norm):
+    spec, pot = random_potential(d, 6, alpha=1.0, norm=norm)
     small = restrict_potential(pot, 3)
-    sub = BoxSpec(2, 3)
-    assert small.spec == BoxSpec(2, 3, spec.norm_kind)
-    from speclab.lattice import enumerate_box
-
+    sub = BoxSpec(d, 3, norm)
+    assert small.spec == sub
     for idx in enumerate_box(sub):
         big_ord = ordinal_of(spec, idx.site)
         assert small.omegas[idx.ordinal] == pot.omegas[big_ord]

@@ -128,7 +128,7 @@ def test_tail_sum_x_scaling_at_alpha0():
 
 
 def brute_force_sum(spec, law, alpha, gamma, x):
-    from speclab.lattice import enumerate_box, site_weight
+    from lattice_oracle import enumerate_box, site_weight
 
     total = 0.0
     for idx in enumerate_box(spec):

@@ -122,11 +122,11 @@ def representable_max(law):
 def test_power_log_clamp_points():
     assert power_log(2.0, 0).clamp_point == 1.0
     law = power_log(1.0, 1)
-    assert law.monotone_from == pytest.approx(math.e)
-    assert law.clamp_point == pytest.approx(math.e)  # f(e) = e >= 1
-    # here f at the monotone threshold is below 1, so the clamp sits beyond it
+    # the clamp is the monotone threshold e^(k/p) itself, since f(e) = e >= 1
+    assert law.clamp_point == pytest.approx(math.exp(1 / 1.0))
+    # here f at the monotone threshold e^(k/p) is below 1, so the clamp sits beyond it
     law2 = power_log(0.5, 2)
-    assert law2.clamp_point > law2.monotone_from
+    assert law2.clamp_point > math.exp(2 / 0.5)
     assert f_eval(law2, law2.clamp_point) == pytest.approx(1.0, rel=1e-10)
 
 
