@@ -36,9 +36,11 @@ from .eigen import (
     extremal_topk,
     full_spectrum,
     full_spectrum_path,
+    top_eigenvalues,
 )
 from .scaling import (
     SCALING_MODES,
+    calibration_floor,
     check_regime,
     gamma_power,
     resolve_gamma,
@@ -186,6 +188,13 @@ class ExperimentConfig:
         return self.solver == "dense" or (self.solver == "auto" and n <= self.dense_cap)
 
     def validate(self) -> None:
+        """Raise ConfigError unless the config can run.
+
+        A config that passed once returns at once: it is frozen, and the
+        calibration-bracket check costs one exact tail sum per radius.
+        """
+        if self.__dict__.get("_validated"):
+            return
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         for name, least in (("trials", 1), ("workers", 1), ("solver_max_iter", 1),
@@ -221,7 +230,8 @@ class ExperimentConfig:
             # delta = 1 has f'/f -> 1, not 0: the Poisson limit machinery
             # does not apply; only the bracket experiment admits it
             raise ConfigError("delta = 1 is allowed only in the sandwich experiment")
-        # interval, capacity and regime errors must fail before any compute
+        # interval, capacity, regime and calibration-bracket errors must
+        # fail before any compute
         try:
             if self.intervals:
                 validate_intervals(self.intervals)
@@ -235,13 +245,19 @@ class ExperimentConfig:
                 check_capacity(box)
                 if self.experiment == "ids" or (solves_h and self.exact_solver(box.site_count)):
                     full_spectrum_path(self.dimension, box.site_count, self.dense_cap)
-            # only the rescaling experiments consume a scaling mode
+            # only the rescaling experiments consume a scaling mode; a
+            # calibration whose tail sum can never reach 1/x fails here
             if self.experiment in ("extremal", "maxlaw", "tailsum"):
                 check_regime(self.scaling_mode, self.dimension, self.law, self.alpha)
+                if self.scaling_mode == "calibrated" and self.alpha != 0.0:
+                    for L in self.radii:
+                        calibration_floor(self.box(L), self.law, self.alpha,
+                                          self.calibration_x)
         except ConfigError:
             raise
         except (ValueError, CapacityError, CapacityDenseError) as exc:
             raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "_validated", True)
 
     def to_dict(self) -> dict:
         d = {
@@ -380,8 +396,12 @@ def _sandwich_trial(args):
     for L in cfg.radii:
         pot = restrict_potential(big, L)
         op = build_hamiltonian(pot.spec, pot, "full")
-        eigs, _, _, _ = _solve_extremal(cfg, op, trial)
-        e1[L] = float(eigs[0]) if eigs.size else 0.0
+        if cfg.exact_solver(op.n):
+            top = float(top_eigenvalues(op, 1, dense_cap=cfg.dense_cap).values[-1])
+            e1[L] = top if top > 0.0 else 0.0
+        else:
+            eigs, _, _, _ = _solve_extremal(cfg, op, trial)
+            e1[L] = float(eigs[0]) if eigs.size else 0.0
         e1v[L] = float(np.max(pot.values))
     return {"trial": trial, "e1_h": e1, "e1_v": e1v,
             "wall": time.perf_counter() - t0}

@@ -170,19 +170,6 @@ def _sum_over_chunks(
     return total, max_p, total_sq
 
 
-def tail_sum(
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    gamma: float,
-    x: float,
-    chunk: int = 1 << 18,
-    site_cap: int = DEFAULT_SITE_CAP,
-) -> float:
-    """Exact deterministic sum over the box of P(f(V(n))/gamma >= x)."""
-    return tail_sum_stats(spec, law, alpha, gamma, x, chunk, site_cap)[0]
-
-
 def tail_sum_stats(
     spec: BoxSpec,
     law: TailLaw,
@@ -200,6 +187,35 @@ def tail_sum_stats(
     return _sum_over_chunks(law, threshold, spec, chunks, with_stats=True)
 
 
+def _calibration_sum(law: TailLaw, spec: BoxSpec, chunks: list[np.ndarray],
+                     gamma: float, target_x: float) -> float:
+    threshold = f_inv(law, gamma * target_x)
+    return _sum_over_chunks(law, threshold, spec, chunks, with_stats=False)[0]
+
+
+def _checked_floor(law: TailLaw, spec: BoxSpec, chunks: list[np.ndarray],
+                   target_x: float) -> float:
+    """`calibration_floor` over weight chunks the caller already holds."""
+    lo = law.f_at_clamp / target_x * (1.0 + 1e-9)
+    s_lo = _calibration_sum(law, spec, chunks, lo, target_x)
+    if s_lo < 1.0 / target_x:
+        raise DomainError(
+            f"no bracket: tail sum at minimal gamma is {s_lo} < 1/x = {1.0 / target_x}"
+        )
+    return lo
+
+
+def calibration_floor(spec: BoxSpec, law: TailLaw, alpha: float, target_x: float) -> float:
+    """Least gamma the calibration searches from, just above f(clamp)/target_x.
+
+    The tail sum decreases in gamma, so when it is already below 1/target_x
+    there, no gamma reaches the target: raises DomainError. Costs one exact
+    tail sum, cheap enough to run when a config is validated.
+    """
+    return _checked_floor(law, spec, _weight_chunks(spec, alpha, 1 << 18, DEFAULT_SITE_CAP),
+                          target_x)
+
+
 def gamma_calibrated(
     spec: BoxSpec,
     law: TailLaw,
@@ -212,24 +228,18 @@ def gamma_calibrated(
 ) -> float:
     """Gamma making the exact finite-box tail sum equal 1/target_x.
 
-    Monotone bisection on gamma; for alpha = 0 the answer is the site count
-    and is returned in closed form.
+    Monotone bisection on gamma from `calibration_floor`; for alpha = 0 the
+    answer is the site count and is returned in closed form.
     """
     if alpha == 0.0:
         return gamma_flat(spec)
     target = 1.0 / target_x
     chunks = _weight_chunks(spec, alpha, chunk, site_cap)
+    lo = _checked_floor(law, spec, chunks, target_x)
 
     def sum_at(gamma: float) -> float:
-        threshold = f_inv(law, gamma * target_x)
-        return _sum_over_chunks(law, threshold, spec, chunks, with_stats=False)[0]
+        return _calibration_sum(law, spec, chunks, gamma, target_x)
 
-    lo = law.f_at_clamp / target_x * (1.0 + 1e-9)
-    s_lo = sum_at(lo)
-    if s_lo < target:
-        raise DomainError(
-            f"no bracket: tail sum at minimal gamma is {s_lo} < 1/x = {target}"
-        )
     hi = max(2.0 * lo, 1.0)
     for _ in range(max_iter):
         if sum_at(hi) < target:

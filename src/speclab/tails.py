@@ -186,27 +186,7 @@ def tail_prob(law: TailLaw, x):
     return out
 
 
-def sample_omega(law: TailLaw, u: float) -> float:
-    """Inverse-transform sample from one uniform u in (0, 1)."""
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"u must be in (0, 1), got {u}")
-    return f_inv(law, max(1.0 / u, law.f_at_clamp))
-
-
 def sample_omega_array(law: TailLaw, u: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sample_omega`; u must lie in (0, 1]."""
+    """Inverse-transform samples f^{-1}(max(1/u, f(clamp_point))); u in (0, 1]."""
     y = np.maximum(1.0 / np.asarray(u, dtype=np.float64), law.f_at_clamp)
     return _f_inv_array(law, y)
-
-
-def site_tail_prob(law: TailLaw, weight, gamma: float, x: float):
-    """P(f(V(n))/gamma >= x) at sites of the given weight(s).
-
-    Equals tail_prob(law, weight * f_inv(gamma * x)); for unit weights this is
-    exactly 1/(gamma*x).
-    """
-    if gamma <= 0 or x <= 0:
-        raise DomainError("gamma and x must be positive")
-    threshold = f_inv(law, gamma * x)
-    return tail_prob(law, np.asarray(weight, dtype=np.float64) * threshold) \
-        if not np.isscalar(weight) else tail_prob(law, weight * threshold)

@@ -27,9 +27,9 @@ from speclab.scaling import (
     gamma_critical,
     gamma_flat,
     gamma_power,
-    tail_sum,
 )
 from speclab.tails import power_log, stretched_exp
+from tails_oracle import tail_sum
 
 INF = math.inf
 WORKERS = min(4, os.cpu_count() or 1)

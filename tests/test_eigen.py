@@ -2,10 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speclab.eigen import dense_spectrum, extremal_topk, full_spectrum, tridiagonal_spectrum
+import scipy.linalg
+
+from speclab.eigen import (
+    TRIDIAG_CAP_DEFAULT,
+    dense_spectrum,
+    extremal_topk,
+    full_spectrum,
+    top_eigenvalues,
+    tridiagonal_spectrum,
+)
 from speclab.harness import STREAM_SOLVER, derive_stream
 from speclab.lattice import BoxSpec
-from speclab.operators import build_hamiltonian, free_laplacian_eigs, sample_potential
+from speclab.operators import (
+    CapacityDenseError,
+    build_hamiltonian,
+    free_laplacian_eigs,
+    sample_potential,
+)
 from speclab.tails import power_log
 
 
@@ -182,6 +196,67 @@ def test_topk_matches_dense_and_obeys_weyl_bound(box, m, p, alpha, seed):
     # Weyl: the hopping part has norm <= 2d, so it moves each E_j by <= 2d
     top_v = np.sort(pot.values)[-m:]
     assert np.max(np.abs(s.values - top_v)) <= 2 * d + tol
+
+
+# --- exact top-m ---------------------------------------------------------------
+
+@PROPERTY_SETTINGS
+@given(
+    L=st.integers(1, 200),
+    kind=st.sampled_from(["full", "diagonal", "free"]),
+    p=st.floats(1.0, 4.0),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+    data=st.data(),
+)
+def test_top_eigenvalues_match_the_tridiagonal_spectrum(L, kind, p, alpha, seed, data):
+    spec, pot = make_instance(1, L, alpha=alpha, law=power_log(p, 0), seed=seed)
+    op = build_hamiltonian(spec, None if kind == "free" else pot, kind)
+    m = data.draw(st.integers(1, op.n), label="m")
+    s = top_eigenvalues(op, m)
+    assert s.values.shape == (m,)
+    full = tridiagonal_spectrum(op).values[-m:]
+    assert np.max(np.abs(s.values - full)) <= 1e-12 * op.norm_bound()
+
+
+def test_top_eigenvalues_paths():
+    spec, pot = make_instance(1, 30)
+    assert top_eigenvalues(build_hamiltonian(spec, pot, "full"), 3).method == "bisection"
+    diag = top_eigenvalues(build_hamiltonian(spec, pot, "diagonal"), 3)
+    np.testing.assert_array_equal(diag.values, np.sort(pot.values)[-3:])
+    # d >= 2 is the top of the dense spectrum, value for value
+    spec2, pot2 = make_instance(2, 4)
+    op2 = build_hamiltonian(spec2, pot2, "full")
+    np.testing.assert_array_equal(top_eigenvalues(op2, 5).values,
+                                  dense_spectrum(op2).values[-5:])
+
+
+def test_top_eigenvalues_validation_and_caps():
+    spec, pot = make_instance(1, 10)
+    op = build_hamiltonian(spec, pot, "full")
+    for m in (0, 22):
+        with pytest.raises(ValueError):
+            top_eigenvalues(op, m)
+    spec1, pot1 = make_instance(1, TRIDIAG_CAP_DEFAULT // 2)
+    with pytest.raises(CapacityDenseError, match=f"tridiagonal cap {TRIDIAG_CAP_DEFAULT}"):
+        top_eigenvalues(build_hamiltonian(spec1, pot1, "full"), 1)
+    spec2, pot2 = make_instance(2, 4)
+    with pytest.raises(CapacityDenseError, match="dense cap 80"):
+        top_eigenvalues(build_hamiltonian(spec2, pot2, "full"), 1, dense_cap=80)
+
+
+@pytest.mark.parametrize("info, found", [(2, 1), (-3, 1), (0, 0)])
+def test_top_eigenvalues_raises_when_stebz_fails(monkeypatch, info, found):
+    spec, pot = make_instance(1, 10)
+    op = build_hamiltonian(spec, pot, "full")
+
+    def failing_stebz(d, e, *args):
+        n = d.size
+        return found, np.full(n, 7.0), np.ones(n, np.int32), np.zeros(n, np.int32), info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_stebz)
+    with pytest.raises(np.linalg.LinAlgError, match=f"info {info}"):
+        top_eigenvalues(op, 1)
 
 
 def test_positive_descending_filter():

@@ -1,12 +1,14 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from speclab.cli import build_parser, overrides_from
+from speclab import harness
 from speclab.cli import main as cli_main
 from speclab.eigen import full_spectrum
 from speclab.harness import (
@@ -120,6 +122,36 @@ def test_config_validation_failures():
         parse_config_text(CONFIG_TEXT, {"alpha": "0.5"})
     with pytest.raises(ConfigError):  # alpha*p > d rejected outright
         parse_config_text(CONFIG_TEXT, {"alpha": "1.0", "scaling_mode": "power"})
+
+
+def test_calibration_bracket_checked_at_every_radius():
+    # at the least gamma the tail sum is 3.17 at L = 3 and 9.39 at L = 100
+    # (p = 2, alpha = 0.5), so 1/x = 5 is reached at L = 100 only
+    calibrated = {"alpha": "0.5", "scaling_mode": "calibrated", "calibration_x": "0.2"}
+    parse_config_text(CONFIG_TEXT, dict(calibrated, radii="100"))
+    with pytest.raises(ConfigError, match="no bracket"):
+        parse_config_text(CONFIG_TEXT, dict(calibrated, radii="3,100"))
+    # alpha = 0 has the closed form, and sandwich resolves no gamma
+    parse_config_text(CONFIG_TEXT, dict(calibrated, alpha="0", radii="3,100"))
+    parse_config_text(
+        "experiment = sandwich\nalpha = 0.5\nscaling_mode = calibrated\n"
+        "calibration_x = 1e-9\nradii = 5\nx_grid = 6\n")
+
+
+def test_a_validated_config_is_not_checked_again(monkeypatch):
+    calls = []
+    floor = harness.calibration_floor
+    monkeypatch.setattr(harness, "calibration_floor",
+                        lambda *args: calls.append(args) or floor(*args))
+    cfg = parse_config_text(CONFIG_TEXT, {"alpha": "0.5", "scaling_mode": "calibrated",
+                                          "radii": "3,5", "calibration_x": "0.4"})
+    assert len(calls) == 2
+    cfg.validate()
+    assert len(calls) == 2
+    # a changed copy is a new config and is checked in full
+    with pytest.raises(ConfigError, match="no bracket"):
+        replace(cfg, calibration_x=0.3).validate()
+    assert len(calls) == 3
 
 
 def test_capacity_rejected_where_the_run_needs_the_full_spectrum():
@@ -299,6 +331,34 @@ def test_sandwich_run_small(tmp_path):
     assert summary["exit_code"] == 0
     assert summary["checks"]["exact_cdf_nonincreasing_in_L"]
     assert summary["checks"]["exact_cdf_nondecreasing_in_x"]
+
+
+@pytest.mark.parametrize("d, radii", [(1, (5, 10, 20, 40)), (2, (2, 4, 7))])
+def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, d, radii):
+    # every row: E1(V) <= E1(H) (Rayleigh quotient at the maximal site) and
+    # E1(H) <= E1(V) + 2d (the hopping has norm <= 2d); along the ladder the
+    # boxes are nested principal submatrices, so by Cauchy interlacing E1(H)
+    # never decreases. V >= 0 here, so 2d + e1_v is the operator norm bound.
+    cfg = ExperimentConfig(
+        experiment="sandwich", dimension=d, radii=radii, alpha=1.0,
+        law=stretched_exp(1.0), trials=30, master_seed=11,
+        x_grid=(6.0,), out_dir=str(tmp_path / "sw"),
+    )
+    run_experiment(cfg)
+    ladder: dict[int, list[float]] = {}
+    for L in radii:
+        lines = (Path(cfg.out_dir) / f"sandwich_L{L}.csv").read_text().splitlines()[1:]
+        assert len(lines) == cfg.trials
+        for line in lines:
+            trial, _, e1_h, e1_v = line.split(",")
+            e1_h, e1_v = float(e1_h), float(e1_v)
+            slack = 1e-12 * (2 * d + e1_v)
+            assert e1_v >= 0.0
+            assert e1_v - slack <= e1_h <= e1_v + 2 * d + slack
+            ladder.setdefault(int(trial), []).append(e1_h)
+    for trial, e1 in ladder.items():
+        slack = 1e-12 * (2 * d + max(e1))
+        assert all(b >= a - slack for a, b in zip(e1, e1[1:])), trial
 
 
 def test_sample_run_dumps_matrix(tmp_path):
@@ -484,11 +544,12 @@ def test_seed_range_bounds_accepted():
       "--scaling-mode", "power"], True),
     # dense spectrum above dense_cap (CapacityDenseError)
     (["ids", "--dimension", "2", "--L", "40", "--alpha", "0.5"], True),
-    # calibrated mode whose tail sum can never reach 1/x (DomainError); the
-    # bracket is searched at run time
+    # calibrated mode whose tail sum can never reach 1/x (DomainError)
     (["tailsum", "--L", "3", "--alpha", "0.5", "--scaling-mode", "calibrated",
-      "--calibration-x", "0.01"], False),
-], ids=["capacity", "dense_cap", "no_bracket"])
+      "--calibration-x", "0.01"], True),
+    (["extremal", "--dimension", "2", "--L", "5", "--alpha", "0.5",
+      "--scaling-mode", "calibrated", "--calibration-x", "1e-9"], True),
+], ids=["capacity", "dense_cap", "no_bracket", "no_bracket_tiny_x"])
 def test_cli_maps_library_errors_to_exit_1(tmp_path, capsys, argv, before_compute):
     out = tmp_path / "o"
     assert cli_main(argv + ["--out", str(out)]) == EXIT_USAGE

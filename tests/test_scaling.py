@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from speclab.lattice import BoxSpec
 from speclab.scaling import (
     RegimeError,
+    calibration_floor,
     check_regime,
     gamma_calibrated,
     gamma_critical,
@@ -16,10 +17,10 @@ from speclab.scaling import (
     h_inv,
     resolve_gamma,
     sphere_surface_area,
-    tail_sum,
     tail_sum_stats,
 )
-from speclab.tails import DomainError, power_log, site_tail_prob, stretched_exp
+from speclab.tails import DomainError, power_log, stretched_exp
+from tails_oracle import site_tail_prob, tail_sum
 
 
 # --- constants -------------------------------------------------------------
@@ -227,3 +228,18 @@ def test_resolve_gamma_dispatch():
     assert plan.gamma == pytest.approx(gamma_critical(1, 0.5, 2.0, 0, 1000))
     plan = resolve_gamma("calibrated", spec, law, 0.0)
     assert plan.gamma == 2001.0
+
+
+def test_calibration_floor_raises_without_a_bracket():
+    spec = BoxSpec(1, 3)
+    law = power_log(2.0, 0)
+    # the tail sum at the least gamma is 1 + 2*(1/2 + 1/3 + 1/4) = 19/6
+    lo = calibration_floor(spec, law, 0.5, target_x=1.0)
+    assert lo == pytest.approx(1.0, rel=1e-8)
+    assert tail_sum(spec, law, 0.5, lo, 1.0) == pytest.approx(19.0 / 6.0, rel=1e-8)
+    assert calibration_floor(spec, law, 0.5, target_x=0.4) == pytest.approx(2.5, rel=1e-8)
+    for x in (0.3, 1e-9):
+        with pytest.raises(DomainError, match="no bracket"):
+            calibration_floor(spec, law, 0.5, target_x=x)
+        with pytest.raises(DomainError, match="no bracket"):
+            gamma_calibrated(spec, law, 0.5, target_x=x)

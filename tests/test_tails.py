@@ -11,12 +11,11 @@ from speclab.tails import (
     f_eval,
     f_inv,
     power_log,
-    sample_omega,
     sample_omega_array,
-    site_tail_prob,
     stretched_exp,
     tail_prob,
 )
+from tails_oracle import sample_omega, site_tail_prob
 
 ALL_LAWS = [
     power_log(2.0, 0),
