@@ -1,5 +1,10 @@
 """Eigenvalue computation: dense oracle paths and an iterative extremal solver.
 
+`solver_path` is the one rule that picks how a Hamiltonian is solved, from
+its dimension, its site count, the configured solver and the dense cap:
+Lanczos, the d=1 tridiagonal path, or dense eigh. It also enforces each
+exact path's cap; the config check and every trial ask it and nothing else.
+
 The dense path materializes the operator and calls the LAPACK symmetric
 solver (Householder reduction to tridiagonal form, then implicit-shift
 QL/QR); for one-dimensional boxes the operator is already tridiagonal and
@@ -49,6 +54,24 @@ class Spectrum:
         return vals[::-1]
 
 
+def solver_path(dimension: int, n: int, solver: str, dense_cap: int) -> str:
+    """The one rule for the path an n-site Hamiltonian with hopping is solved by.
+
+    Returns "lanczos" for solver "lanczos", and for "auto" above dense_cap.
+    Otherwise ("dense", or "auto" up to dense_cap) returns the exact path of
+    the dimension: "tridiagonal" in dimension 1 (QL for a full spectrum,
+    bisection for a top slice) and "dense" otherwise. Raises
+    CapacityDenseError when n exceeds that exact path's cap, so a
+    configuration can be rejected before any operator is built.
+    """
+    if solver == "lanczos" or (solver == "auto" and n > dense_cap):
+        return "lanczos"
+    path, cap = ("tridiagonal", TRIDIAG_CAP_DEFAULT) if dimension == 1 else ("dense", dense_cap)
+    if n > cap:
+        raise CapacityDenseError(f"{n} sites exceeds {path} cap {cap}")
+    return path
+
+
 def dense_spectrum(op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
     """All eigenvalues through the dense symmetric solver.
 
@@ -68,61 +91,42 @@ def _tridiagonal(op: LatticeOperator) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def tridiagonal_spectrum(op: LatticeOperator, cap: int = TRIDIAG_CAP_DEFAULT) -> Spectrum:
-    """Full spectrum of a d=1 operator via the tridiagonal QL driver."""
+def tridiagonal_spectrum(op: LatticeOperator) -> Spectrum:
+    """Full spectrum of a d=1 operator via the tridiagonal QL driver.
+
+    No cap is checked here: `full_spectrum` applies `solver_path`'s.
+    """
     if op.spec.dimension != 1:
         raise ValueError("tridiagonal path requires dimension 1")
-    if op.n > cap:
-        raise CapacityDenseError(f"{op.n} sites exceeds tridiagonal cap {cap}")
     vals = scipy.linalg.eigvalsh_tridiagonal(*_tridiagonal(op))
     return Spectrum(values=vals, method="dense")
 
 
-def full_spectrum_path(
-    dimension: int,
-    n: int,
-    dense_cap: int = DENSE_CAP_DEFAULT,
-    tridiag_cap: int = TRIDIAG_CAP_DEFAULT,
-) -> str:
-    """The exact path `full_spectrum` takes for an n-site operator with hopping.
+def full_spectrum(op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
+    """All eigenvalues by the exact path `solver_path` picks for the operator.
 
-    Returns "tridiagonal" in dimension 1 and "dense" otherwise; raises
-    CapacityDenseError when n exceeds that path's cap, so a configuration
-    can be rejected before any operator is built.
+    A d=1 operator without hopping has a zero off-diagonal, whose QL
+    spectrum is its sorted diagonal.
     """
-    path, cap = ("tridiagonal", tridiag_cap) if dimension == 1 else ("dense", dense_cap)
-    if n > cap:
-        raise CapacityDenseError(f"{n} sites exceeds {path} cap {cap}")
-    return path
-
-
-def full_spectrum(
-    op: LatticeOperator,
-    dense_cap: int = DENSE_CAP_DEFAULT,
-    tridiag_cap: int = TRIDIAG_CAP_DEFAULT,
-) -> Spectrum:
-    """All eigenvalues by the cheapest exact path available for the operator."""
-    if op.kind == "diagonal":
-        return dense_spectrum(op)
-    if full_spectrum_path(op.spec.dimension, op.n, dense_cap, tridiag_cap) == "tridiagonal":
-        return tridiagonal_spectrum(op, cap=tridiag_cap)
+    if solver_path(op.spec.dimension, op.n, "dense", dense_cap) == "tridiagonal":
+        return tridiagonal_spectrum(op)
     return dense_spectrum(op, dense_cap=dense_cap)
 
 
 def top_eigenvalues(
     op: LatticeOperator, m: int, dense_cap: int = DENSE_CAP_DEFAULT
 ) -> Spectrum:
-    """The m largest eigenvalues, ascending, by the exact path of `full_spectrum`.
+    """The m largest eigenvalues, ascending, by the exact path of `solver_path`.
 
-    A diagonal or d >= 2 operator gives the top of `dense_spectrum`. A d=1
-    operator is solved by Sturm-sequence bisection (LAPACK stebz) for the
-    indices n-m+1..n alone, to LAPACK's default absolute tolerance eps*|T|;
-    a LinAlgError is raised when stebz reports failure or finds fewer than m.
+    A d >= 2 operator gives the top of `dense_spectrum`. A d=1 operator is
+    solved by Sturm-sequence bisection (LAPACK stebz) for the indices
+    n-m+1..n alone, to LAPACK's default absolute tolerance eps*|T|; a
+    LinAlgError is raised when stebz reports failure or finds fewer than m.
     """
     n = op.n
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    if op.kind == "diagonal" or full_spectrum_path(op.spec.dimension, n, dense_cap) == "dense":
+    if solver_path(op.spec.dimension, n, "dense", dense_cap) == "dense":
         return Spectrum(values=dense_spectrum(op, dense_cap).values[-m:], method="dense")
     # called directly: eigvalsh_tridiagonal's input checks cost as much as
     # the bisection itself on boxes of ~50 sites. Range 2 selects by 1-based

@@ -33,9 +33,10 @@ from .operators import (
 from .eigen import (
     LANCZOS_MAX_ITER_DEFAULT,
     LANCZOS_TOL_DEFAULT,
+    Spectrum,
     extremal_topk,
     full_spectrum,
-    full_spectrum_path,
+    solver_path,
     top_eigenvalues,
 )
 from .scaling import (
@@ -179,14 +180,6 @@ class ExperimentConfig:
         x_min = min(candidates) if candidates else 0.5
         return max(8, math.ceil(4.0 / x_min))
 
-    def exact_solver(self, n: int) -> bool:
-        """Whether an n-site Hamiltonian is solved by `full_spectrum`.
-
-        Applies where the experiment solves H for its top spectrum
-        (extremal, maxlaw, sandwich); ids always takes the full spectrum.
-        """
-        return self.solver == "dense" or (self.solver == "auto" and n <= self.dense_cap)
-
     def validate(self) -> None:
         """Raise ConfigError unless the config can run.
 
@@ -236,15 +229,16 @@ class ExperimentConfig:
             if self.intervals:
                 validate_intervals(self.intervals)
             # the site cap of each box, and the exact path's cap wherever
-            # the run takes a full spectrum
-            solves_h = self.experiment == "sandwich" or (
+            # the run solves H (ids always takes the full spectrum)
+            solves_h = self.experiment in ("ids", "sandwich") or (
                 self.experiment in ("extremal", "maxlaw") and self.source != "V"
             )
+            solver = "dense" if self.experiment == "ids" else self.solver
             for L in self.radii:
                 box = self.box(L)
                 check_capacity(box)
-                if self.experiment == "ids" or (solves_h and self.exact_solver(box.site_count)):
-                    full_spectrum_path(self.dimension, box.site_count, self.dense_cap)
+                if solves_h:
+                    solver_path(self.dimension, box.site_count, solver, self.dense_cap)
             # only the rescaling experiments consume a scaling mode; a
             # calibration whose tail sum can never reach 1/x fails here
             if self.experiment in ("extremal", "maxlaw", "tailsum"):
@@ -298,23 +292,19 @@ def _interval_label(a: float, b: float) -> str:
 # per-trial computations (top-level functions so they pickle into workers)
 
 
-def _solve_extremal(cfg: ExperimentConfig, op, trial: int):
-    """Top spectrum of the operator per the configured solver policy.
+def _solve_h(cfg: ExperimentConfig, op, trial: int, m: int | None = None) -> Spectrum:
+    """Top of H's spectrum on the path `solver_path` picks for the config.
 
-    Returns (descending positive eigenvalues, residual_max, converged,
-    exact_counts) where exact_counts says whether the returned set contains
-    every eigenvalue that could land in a counting interval.
+    Lanczos gives the top m (default `resolved_top_m()`). An exact path gives
+    the top m by `top_eigenvalues`, or with m None the full spectrum.
     """
-    if cfg.exact_solver(op.n):
-        spec_full = full_spectrum(op, dense_cap=cfg.dense_cap)
-        return spec_full.positive_descending(), 0.0, True, True
-    m = min(cfg.resolved_top_m(), op.n)
-    rng = derive_stream(cfg.master_seed, trial, STREAM_SOLVER)
-    spectrum = extremal_topk(
-        op, m, rng, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter
-    )
-    resid = float(np.max(spectrum.residuals)) if spectrum.residuals is not None else 0.0
-    return spectrum.positive_descending(), resid, spectrum.converged, False
+    if solver_path(cfg.dimension, op.n, cfg.solver, cfg.dense_cap) == "lanczos":
+        rng = derive_stream(cfg.master_seed, trial, STREAM_SOLVER)
+        return extremal_topk(op, min(cfg.resolved_top_m() if m is None else m, op.n), rng,
+                             tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
+    if m is None:
+        return full_spectrum(op, dense_cap=cfg.dense_cap)
+    return top_eigenvalues(op, m, dense_cap=cfg.dense_cap)
 
 
 def _extremal_trial(args):
@@ -335,7 +325,12 @@ def _extremal_trial(args):
             resid, converged, exact_counts = 0.0, True, True
         else:
             op = build_hamiltonian(spec, potential, "full")
-            eigs, resid, converged, exact_counts = _solve_extremal(cfg, op, trial)
+            spectrum = _solve_h(cfg, op, trial)
+            eigs = spectrum.positive_descending()
+            resid = 0.0 if spectrum.residuals is None else float(np.max(spectrum.residuals))
+            converged = spectrum.converged
+            # every eigenvalue an interval could see is in a complete spectrum
+            exact_counts = spectrum.values.size == op.n
         points = rescale(eigs, cfg.law, gamma, source=source)
         counts = (
             count_in_intervals(points, cfg.intervals).tolist()
@@ -396,12 +391,8 @@ def _sandwich_trial(args):
     for L in cfg.radii:
         pot = restrict_potential(big, L)
         op = build_hamiltonian(pot.spec, pot, "full")
-        if cfg.exact_solver(op.n):
-            top = float(top_eigenvalues(op, 1, dense_cap=cfg.dense_cap).values[-1])
-            e1[L] = top if top > 0.0 else 0.0
-        else:
-            eigs, _, _, _ = _solve_extremal(cfg, op, trial)
-            e1[L] = float(eigs[0]) if eigs.size else 0.0
+        top = float(_solve_h(cfg, op, trial, 1).values[-1])
+        e1[L] = top if top > 0.0 else 0.0
         e1v[L] = float(np.max(pot.values))
     return {"trial": trial, "e1_h": e1, "e1_v": e1v,
             "wall": time.perf_counter() - t0}

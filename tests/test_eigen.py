@@ -9,12 +9,14 @@ from speclab.eigen import (
     dense_spectrum,
     extremal_topk,
     full_spectrum,
+    solver_path,
     top_eigenvalues,
     tridiagonal_spectrum,
 )
 from speclab.harness import STREAM_SOLVER, derive_stream
 from speclab.lattice import BoxSpec
 from speclab.operators import (
+    DENSE_CAP_DEFAULT,
     CapacityDenseError,
     build_hamiltonian,
     free_laplacian_eigs,
@@ -35,6 +37,35 @@ def solver_rng(seed=0, trial=0):
 
 # deterministic examples, so the suite gives the same verdict on every run
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+# --- the solver path rule ------------------------------------------------------
+
+CAP = DENSE_CAP_DEFAULT
+TRI = TRIDIAG_CAP_DEFAULT
+
+
+@pytest.mark.parametrize("d, n, solver, dense_cap, expected", [
+    # auto: the exact path up to dense_cap, Lanczos above it
+    (1, CAP, "auto", CAP, "tridiagonal"),
+    (1, CAP + 1, "auto", CAP, "lanczos"),
+    (2, CAP, "auto", CAP, "dense"),
+    (2, CAP + 1, "auto", CAP, "lanczos"),
+    (1, TRI + 1, "auto", TRI + 1, f"{TRI + 1} sites exceeds tridiagonal cap {TRI}"),
+    # lanczos is taken at any size
+    (1, 3, "lanczos", CAP, "lanczos"),
+    (2, 3, "lanczos", CAP, "lanczos"),
+    # dense: the exact path up to its own cap
+    (1, TRI, "dense", CAP, "tridiagonal"),
+    (1, TRI + 1, "dense", CAP, f"{TRI + 1} sites exceeds tridiagonal cap {TRI}"),
+    (2, CAP + 1, "dense", CAP, f"{CAP + 1} sites exceeds dense cap {CAP}"),
+])
+def test_solver_path_table(d, n, solver, dense_cap, expected):
+    if " cap " in expected:
+        with pytest.raises(CapacityDenseError, match=f"^{expected}$"):
+            solver_path(d, n, solver, dense_cap)
+    else:
+        assert solver_path(d, n, solver, dense_cap) == expected
 
 
 # --- dense paths -------------------------------------------------------------

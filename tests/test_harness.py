@@ -1,6 +1,9 @@
+import importlib
 import json
 import math
 import re
+import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from speclab.harness import (
     run_experiment,
 )
 from speclab.lattice import BoxSpec
-from speclab.operators import build_hamiltonian, sample_potential
+from speclab.operators import DENSE_CAP_DEFAULT, build_hamiltonian, sample_potential
 from speclab.stats import rescale
 from speclab.tails import power_log, stretched_exp
 
@@ -333,8 +336,14 @@ def test_sandwich_run_small(tmp_path):
     assert summary["checks"]["exact_cdf_nondecreasing_in_x"]
 
 
-@pytest.mark.parametrize("d, radii", [(1, (5, 10, 20, 40)), (2, (2, 4, 7))])
-def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, d, radii):
+@pytest.mark.parametrize("d, radii, dense_cap", [
+    (1, (5, 10, 20, 40), DENSE_CAP_DEFAULT),
+    (2, (2, 4, 7), DENSE_CAP_DEFAULT),
+    # 25, 81 and 225 sites: L = 4 and 7 take the Lanczos path
+    (2, (2, 4, 7), 50),
+], ids=["1-radii0", "2-radii1", "2-lanczos"])
+def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, monkeypatch, d, radii,
+                                                        dense_cap):
     # every row: E1(V) <= E1(H) (Rayleigh quotient at the maximal site) and
     # E1(H) <= E1(V) + 2d (the hopping has norm <= 2d); along the ladder the
     # boxes are nested principal submatrices, so by Cauchy interlacing E1(H)
@@ -342,9 +351,16 @@ def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, d, radii):
     cfg = ExperimentConfig(
         experiment="sandwich", dimension=d, radii=radii, alpha=1.0,
         law=stretched_exp(1.0), trials=30, master_seed=11,
-        x_grid=(6.0,), out_dir=str(tmp_path / "sw"),
+        x_grid=(6.0,), dense_cap=dense_cap, out_dir=str(tmp_path / "sw"),
     )
+    requested = []
+    topk = harness.extremal_topk
+    monkeypatch.setattr(harness, "extremal_topk",
+                        lambda op, m, *a, **kw: requested.append(m) or topk(op, m, *a, **kw))
     run_experiment(cfg)
+    # Lanczos is asked for E1 alone, once per trial at each radius above the cap
+    above_cap = sum(cfg.box(L).site_count > dense_cap for L in radii)
+    assert requested == [1] * (cfg.trials * above_cap)
     ladder: dict[int, list[float]] = {}
     for L in radii:
         lines = (Path(cfg.out_dir) / f"sandwich_L{L}.csv").read_text().splitlines()[1:]
@@ -359,6 +375,45 @@ def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, d, radii):
     for trial, e1 in ladder.items():
         slack = 1e-12 * (2 * d + max(e1))
         assert all(b >= a - slack for a, b in zip(e1, e1[1:])), trial
+
+
+# --- the hooks the perfbench tracer patches -------------------------------------
+
+def load_perfbench_spans(monkeypatch) -> types.ModuleType:
+    """perfbench/spans.py, executed from its source without writing a cache.
+
+    Registered for the test only: its dataclass looks its module up by name.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_tracer_hook_resolves(monkeypatch):
+    spans = load_perfbench_spans(monkeypatch)
+    for module, attr, _ in spans.LAYER_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for attr in spans.TRIAL_FUNCTIONS:
+        assert callable(getattr(harness, attr, None)), attr
+
+
+@pytest.mark.parametrize("kw, topk_calls, full_calls", [
+    (dict(solver="lanczos"), 3, 0),  # 121 sites by Lanczos, once per trial
+    (dict(), 0, 3),  # auto: the exact path at 121 sites
+    (dict(experiment="ids", radii=(20, 40)), 0, 6),  # per trial and radius
+], ids=["extremal-lanczos", "extremal-exact", "ids"])
+def test_trials_call_the_kernels_the_tracer_patches(tmp_path, monkeypatch, kw,
+                                                    topk_calls, full_calls):
+    calls = {"extremal_topk": 0, "full_spectrum": 0}
+    for name in calls:
+        def spy(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, spy)
+    run_experiment(small_extremal_cfg(tmp_path, source="H", trials=3, **kw))
+    assert calls == {"extremal_topk": topk_calls, "full_spectrum": full_calls}
 
 
 def test_sample_run_dumps_matrix(tmp_path):
