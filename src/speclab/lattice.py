@@ -5,6 +5,11 @@ coordinates all lie in [-L, L]; it has (2L+1)**d sites. Sites are indexed
 lexicographically by coordinates so that every ordinal-based computation is
 reproducible regardless of iteration strategy. Each site n carries a weight
 (1 + |n|)**alpha, where |n| is either the euclidean or the sup norm.
+
+`walk_box` is the one walk over a box: it yields the coordinates and weights
+of `WALK_CHUNK` consecutive ordinals at a time. Every box-wide reduction (the
+tail sums and calibration in `scaling`, the exact max-CDF ladder in `stats`)
+and the d >= 2 weights array read it.
 """
 from __future__ import annotations
 
@@ -18,9 +23,13 @@ NORM_KINDS = ("euclidean", "sup")
 # Hard stop against accidentally enumerating astronomically large boxes.
 DEFAULT_SITE_CAP = 100_000_000
 
+# Sites per chunk of `walk_box`. Read at call time, so a test can shrink it to
+# put chunk boundaries inside a small box.
+WALK_CHUNK = 1 << 18
+
 
 class CapacityError(Exception):
-    """Raised when a box exceeds the configured site cap."""
+    """Raised when a box exceeds DEFAULT_SITE_CAP sites."""
 
 
 @dataclass(frozen=True)
@@ -48,10 +57,10 @@ class BoxSpec:
         return self.side ** self.dimension
 
 
-def check_capacity(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> None:
-    if spec.site_count > site_cap:
+def check_capacity(spec: BoxSpec) -> None:
+    if spec.site_count > DEFAULT_SITE_CAP:
         raise CapacityError(
-            f"box with {spec.site_count} sites exceeds cap {site_cap}"
+            f"box with {spec.site_count} sites exceeds cap {DEFAULT_SITE_CAP}"
         )
 
 
@@ -65,9 +74,9 @@ def site_coords(spec: BoxSpec, ordinals: np.ndarray) -> np.ndarray:
     return (ordinals[:, None] // strides[None, :]) % spec.side - spec.radius
 
 
-def site_array(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> np.ndarray:
+def site_array(spec: BoxSpec) -> np.ndarray:
     """All sites as an (N, d) int array in lexicographic ordinal order."""
-    check_capacity(spec, site_cap)
+    check_capacity(spec)
     return site_coords(spec, np.arange(spec.site_count, dtype=np.int64))
 
 
@@ -82,30 +91,27 @@ def site_norm(site: np.ndarray, norm_kind: str) -> np.ndarray:
     raise ValueError(f"unknown norm_kind {norm_kind!r}")
 
 
-def weights_array(spec: BoxSpec, alpha: float, site_cap: int = DEFAULT_SITE_CAP) -> np.ndarray:
+def walk_box(spec: BoxSpec, alpha: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The box in ordinal order, `WALK_CHUNK` sites at a time.
+
+    Yields (coords, weights): the chunk's (n, d) int coordinates and its
+    (1 + |n|)**alpha. The chunk boundaries depend only on `WALK_CHUNK`, so any
+    consumer that reduces chunk results in order is bitwise reproducible
+    independent of scheduling.
+    """
+    check_capacity(spec)
+    n_sites, chunk = spec.site_count, WALK_CHUNK
+    for start in range(0, n_sites, chunk):
+        coords = site_coords(spec, np.arange(start, min(start + chunk, n_sites), dtype=np.int64))
+        yield coords, (1.0 + site_norm(coords, spec.norm_kind)) ** alpha
+
+
+def weights_array(spec: BoxSpec, alpha: float) -> np.ndarray:
     """(1 + |n|)**alpha for every site, in ordinal order."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    check_capacity(spec, site_cap)
     if spec.dimension == 1:
+        check_capacity(spec)
         n = np.arange(-spec.radius, spec.radius + 1, dtype=np.float64)
         return (1.0 + np.abs(n)) ** alpha
-    return (1.0 + site_norm(site_array(spec, site_cap), spec.norm_kind)) ** alpha
-
-
-def iter_weight_chunks(
-    spec: BoxSpec,
-    alpha: float,
-    chunk: int = 1 << 18,
-    site_cap: int = DEFAULT_SITE_CAP,
-) -> Iterator[np.ndarray]:
-    """Stream (1 + |n|)**alpha in ordinal order, `chunk` sites at a time.
-
-    The chunk boundaries depend only on `chunk`, so any consumer that reduces
-    chunk results in order is bitwise reproducible independent of scheduling.
-    """
-    check_capacity(spec, site_cap)
-    n_sites = spec.site_count
-    for start in range(0, n_sites, chunk):
-        coords = site_coords(spec, np.arange(start, min(start + chunk, n_sites), dtype=np.int64))
-        yield (1.0 + site_norm(coords, spec.norm_kind)) ** alpha
+    return np.concatenate([w for _, w in walk_box(spec, alpha)])

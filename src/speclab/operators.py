@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoxSpec, DEFAULT_SITE_CAP, check_capacity, site_coords, weights_array
+from .lattice import BoxSpec, check_capacity, site_coords, weights_array
 from .tails import TailLaw, sample_omega_array
 
 OPERATOR_KINDS = ("full", "diagonal", "free")
@@ -35,20 +35,16 @@ class PotentialSample:
 
 
 def sample_potential(
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    rng: np.random.Generator,
-    site_cap: int = DEFAULT_SITE_CAP,
+    spec: BoxSpec, law: TailLaw, alpha: float, rng: np.random.Generator
 ) -> PotentialSample:
     """Draw omega for every site and divide by the decay weights.
 
     Uses 1 - rng.random() so the uniforms lie in (0, 1].
     """
-    check_capacity(spec, site_cap)
+    check_capacity(spec)
     u = 1.0 - rng.random(spec.site_count)
     omegas = sample_omega_array(law, u)
-    values = omegas / weights_array(spec, alpha, site_cap)
+    values = omegas / weights_array(spec, alpha)
     return PotentialSample(spec=spec, alpha=alpha, omegas=omegas, values=values)
 
 
@@ -182,14 +178,14 @@ def build_hamiltonian(
     return LatticeOperator(spec=spec, kind=kind, potential=potential)
 
 
-def free_laplacian_eigs(d: int, L: int, site_cap: int = DEFAULT_SITE_CAP) -> np.ndarray:
+def free_laplacian_eigs(d: int, L: int) -> np.ndarray:
     """Exact spectrum of the free hopping operator on the box, ascending.
 
     Separable Dirichlet spectrum: sums over axes of 2*cos(j*pi/(side+1)),
     j = 1..side.
     """
     spec = BoxSpec(d, L)
-    check_capacity(spec, site_cap)
+    check_capacity(spec)
     side = spec.side
     base = 2.0 * np.cos(np.arange(1, side + 1) * np.pi / (side + 1))
     vals = base

@@ -7,21 +7,31 @@ and an inverse of h_k(x) = x*log(x)**k at criticality alpha*p = d. For
 alpha = 0 the exact choice is the site count. A calibrated mode solves for
 Gamma_L numerically from the exact finite-box sum, which sidesteps the
 cube-versus-ball ambiguity of the closed-form constants in d >= 2.
+
+Every exact tail sum (`tail_sum_stats`, `calibration_floor` and each step of
+the calibration bisection) reduces the site weights yielded by
+`lattice.walk_box`, `lattice.WALK_CHUNK` sites per chunk, with the chunk sums
+combined pairwise in a fixed order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 from scipy.special import lambertw
 
-from .lattice import BoxSpec, DEFAULT_SITE_CAP, iter_weight_chunks
+from .lattice import BoxSpec, walk_box
 from .tails import DomainError, TailLaw, f_inv, tail_prob
 
 SCALING_MODES = ("power", "critical", "flat", "calibrated")
 
 REGIME_TOL = 1e-12
+
+# gamma_calibrated stops when the tail sum is this close to 1/x, relatively
+CALIBRATION_RTOL = 1e-9
+CALIBRATION_MAX_ITER = 200
 
 
 class RegimeError(ValueError):
@@ -72,18 +82,6 @@ def power_mode_coefficient(d: int, alpha: float, p: float, k: int) -> float:
     return sphere_surface_area(d) / gap * (d / gap) ** k
 
 
-def h_eval(k: int, x) -> float:
-    """h_k(x) = x * log(x)**k."""
-    arr = np.asarray(x, dtype=np.float64)
-    if k == 0:
-        out = arr
-    else:
-        if np.any(arr <= 1.0):
-            raise DomainError("h_eval requires x > 1 for k >= 1")
-        out = arr * np.log(arr) ** k
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def h_inv(k: int, y: float) -> float:
     """Inverse of h_k on x > 1; exact identity for k = 0.
 
@@ -132,72 +130,36 @@ def _pairwise_sum(parts: list[float]) -> float:
     return parts[0]
 
 
-def _weight_chunks(spec: BoxSpec, alpha: float, chunk: int, site_cap: int) -> list[np.ndarray]:
-    if spec.dimension == 1:
-        # +/-n symmetry: weights for n = 1..L each count twice, n = 0 once
-        L = spec.radius
-        out = []
-        for start in range(1, L + 1, chunk):
-            n = np.arange(start, min(start + chunk, L + 1), dtype=np.float64)
-            out.append((1.0 + n) ** alpha)
-        return out
-    return list(iter_weight_chunks(spec, alpha, chunk=chunk, site_cap=site_cap))
+def _tail_sums(law: TailLaw, weights: Iterable[np.ndarray], gamma: float,
+               x: float) -> tuple[float, float, float]:
+    """(sum of p_n, max p_n, sum of p_n**2) over chunks of site weights.
 
-
-def _sum_over_chunks(
-    law: TailLaw,
-    threshold: float,
-    spec: BoxSpec,
-    chunks: list[np.ndarray],
-    with_stats: bool,
-) -> tuple[float, float, float]:
+    p_n = P(f(V(n))/gamma >= x); chunk sums are combined pairwise.
+    """
+    threshold = f_inv(law, gamma * x)
     parts, parts_sq = [], []
     max_p = 0.0
-    for w in chunks:
+    for w in weights:
         probs = tail_prob(law, w * threshold)
         parts.append(float(np.sum(probs)))
-        if with_stats:
-            parts_sq.append(float(np.sum(probs * probs)))
-            max_p = max(max_p, float(np.max(probs)))
-    total = _pairwise_sum(parts)
-    total_sq = _pairwise_sum(parts_sq) if with_stats else 0.0
-    if spec.dimension == 1:
-        center = float(tail_prob(law, threshold))
-        total = center + 2.0 * total
-        if with_stats:
-            total_sq = center * center + 2.0 * total_sq
-            max_p = max(max_p, center)
-    return total, max_p, total_sq
+        parts_sq.append(float(np.sum(probs * probs)))
+        max_p = max(max_p, float(np.max(probs)))
+    return _pairwise_sum(parts), max_p, _pairwise_sum(parts_sq)
 
 
 def tail_sum_stats(
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    gamma: float,
-    x: float,
-    chunk: int = 1 << 18,
-    site_cap: int = DEFAULT_SITE_CAP,
+    spec: BoxSpec, law: TailLaw, alpha: float, gamma: float, x: float
 ) -> tuple[float, float, float]:
     """(sum of p_n, max p_n, sum of p_n**2) over the box, exactly."""
     if gamma * x < law.f_at_clamp * (1.0 - 1e-13):
         raise DomainError("gamma * x below f(clamp_point)")
-    threshold = f_inv(law, gamma * x)
-    chunks = _weight_chunks(spec, alpha, chunk, site_cap)
-    return _sum_over_chunks(law, threshold, spec, chunks, with_stats=True)
+    return _tail_sums(law, (w for _, w in walk_box(spec, alpha)), gamma, x)
 
 
-def _calibration_sum(law: TailLaw, spec: BoxSpec, chunks: list[np.ndarray],
-                     gamma: float, target_x: float) -> float:
-    threshold = f_inv(law, gamma * target_x)
-    return _sum_over_chunks(law, threshold, spec, chunks, with_stats=False)[0]
-
-
-def _checked_floor(law: TailLaw, spec: BoxSpec, chunks: list[np.ndarray],
-                   target_x: float) -> float:
-    """`calibration_floor` over weight chunks the caller already holds."""
+def _checked_floor(law: TailLaw, weights: Iterable[np.ndarray], target_x: float) -> float:
+    """`calibration_floor` over the box's weight chunks."""
     lo = law.f_at_clamp / target_x * (1.0 + 1e-9)
-    s_lo = _calibration_sum(law, spec, chunks, lo, target_x)
+    s_lo = _tail_sums(law, weights, lo, target_x)[0]
     if s_lo < 1.0 / target_x:
         raise DomainError(
             f"no bracket: tail sum at minimal gamma is {s_lo} < 1/x = {1.0 / target_x}"
@@ -212,45 +174,39 @@ def calibration_floor(spec: BoxSpec, law: TailLaw, alpha: float, target_x: float
     there, no gamma reaches the target: raises DomainError. Costs one exact
     tail sum, cheap enough to run when a config is validated.
     """
-    return _checked_floor(law, spec, _weight_chunks(spec, alpha, 1 << 18, DEFAULT_SITE_CAP),
-                          target_x)
+    return _checked_floor(law, (w for _, w in walk_box(spec, alpha)), target_x)
 
 
 def gamma_calibrated(
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    target_x: float = 1.0,
-    rtol: float = 1e-9,
-    max_iter: int = 200,
-    chunk: int = 1 << 18,
-    site_cap: int = DEFAULT_SITE_CAP,
+    spec: BoxSpec, law: TailLaw, alpha: float, target_x: float = 1.0
 ) -> float:
     """Gamma making the exact finite-box tail sum equal 1/target_x.
 
-    Monotone bisection on gamma from `calibration_floor`; for alpha = 0 the
-    answer is the site count and is returned in closed form.
+    Monotone bisection on gamma from `calibration_floor`, to relative
+    tolerance CALIBRATION_RTOL on the sum; for alpha = 0 the answer is the
+    site count and is returned in closed form.
     """
     if alpha == 0.0:
         return gamma_flat(spec)
     target = 1.0 / target_x
-    chunks = _weight_chunks(spec, alpha, chunk, site_cap)
-    lo = _checked_floor(law, spec, chunks, target_x)
+    # the bisection walks the box once and sums over the held chunks
+    weights = [w for _, w in walk_box(spec, alpha)]
+    lo = _checked_floor(law, weights, target_x)
 
     def sum_at(gamma: float) -> float:
-        return _calibration_sum(law, spec, chunks, gamma, target_x)
+        return _tail_sums(law, weights, gamma, target_x)[0]
 
     hi = max(2.0 * lo, 1.0)
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         if sum_at(hi) < target:
             break
         hi *= 2.0
     else:
         raise ConvergenceError("could not bracket gamma from above")
-    for _ in range(max_iter):
+    for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         s = sum_at(mid)
-        if abs(s - target) <= rtol * target:
+        if abs(s - target) <= CALIBRATION_RTOL * target:
             return mid
         if s > target:
             lo = mid
@@ -276,7 +232,6 @@ def resolve_gamma(
     law: TailLaw,
     alpha: float,
     target_x: float = 1.0,
-    site_cap: int = DEFAULT_SITE_CAP,
 ) -> ScalingPlan:
     """Dispatch to the normalization for `mode`, validating the regime."""
     check_regime(mode, spec.dimension, law, alpha)
@@ -284,7 +239,7 @@ def resolve_gamma(
     if mode == "flat":
         return ScalingPlan("flat", gamma_flat(spec), {"site_count": spec.site_count})
     if mode == "calibrated":
-        gamma = gamma_calibrated(spec, law, alpha, target_x, site_cap=site_cap)
+        gamma = gamma_calibrated(spec, law, alpha, target_x)
         return ScalingPlan("calibrated", gamma, {"target_x": target_x})
     p, k = law.p, law.k
     if mode == "power":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.stats
 
-from .lattice import BoxSpec, DEFAULT_SITE_CAP, check_capacity, site_coords, site_norm
+from .lattice import BoxSpec, check_capacity, walk_box
 from .tails import DomainError, TailLaw, f_eval, tail_prob
 
 
@@ -287,52 +287,34 @@ def max_law_test(max_points, name: str = "max_law") -> Report:
     )
 
 
-def exact_max_cdf(
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    x: float,
-    chunk: int = 1 << 18,
-    site_cap: int = DEFAULT_SITE_CAP,
-) -> float:
+def exact_max_cdf(spec: BoxSpec, law: TailLaw, alpha: float, x: float) -> float:
     """P(max over the box of V(n) <= x), as an exact product over sites.
 
     Evaluated as exp of a sum of log(1 - tail) terms; returns 0.0 whenever
     some factor vanishes (x below the clamp at the origin).
     """
-    return float(
-        exact_max_cdf_ladder(spec, law, alpha, x, [spec.radius], chunk, site_cap)[0]
-    )
+    return float(exact_max_cdf_ladder(spec, law, alpha, x, [spec.radius])[0])
 
 
 def exact_max_cdf_ladder(
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    x: float,
-    radii: list[int],
-    chunk: int = 1 << 18,
-    site_cap: int = DEFAULT_SITE_CAP,
+    spec: BoxSpec, law: TailLaw, alpha: float, x: float, radii: list[int]
 ) -> np.ndarray:
-    """exact_max_cdf at several nested radii from one pass over the box.
+    """exact_max_cdf at several nested radii from one walk over the largest box.
 
     Sites are attributed to shells by their sup-norm radius, so the value at
-    radius L accumulates exactly the shells s <= L; the sequence is
-    nonincreasing in L by construction.
+    radius L accumulates exactly the shells s <= L; the values are
+    nonincreasing in L by construction and are returned in the order of
+    `radii`.
     """
     if x < 0:
         raise DomainError("x must be >= 0")
-    radii = sorted(radii)
-    L_max = radii[-1]
+    L_max = max(radii)
     big = BoxSpec(spec.dimension, L_max, spec.norm_kind)
+    check_capacity(big)  # before the shell arrays, as long as a d = 1 box
     shell_logs = np.zeros(L_max + 1)
     zero_shell = np.zeros(L_max + 1, dtype=bool)
-    n_sites = big.site_count
-    check_capacity(big, site_cap)
-    for start in range(0, n_sites, chunk):
-        coords = site_coords(big, np.arange(start, min(start + chunk, n_sites), dtype=np.int64))
+    for coords, weight in walk_box(big, alpha):
         shell = np.max(np.abs(coords), axis=1)
-        weight = (1.0 + site_norm(coords, big.norm_kind)) ** alpha
         tails = tail_prob(law, weight * x)
         dead = tails >= 1.0
         if np.any(dead):
@@ -342,15 +324,10 @@ def exact_max_cdf_ladder(
         np.add.at(shell_logs, shell, terms)
     log_cum = np.cumsum(shell_logs)
     dead_cum = np.cumsum(zero_shell) > 0
-    out = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        out[i] = 0.0 if dead_cum[r] else math.exp(log_cum[r])
-    return out
+    return np.array([0.0 if dead_cum[r] else math.exp(log_cum[r]) for r in radii])
 
 
-def fit_lower_envelope_constant(
-    spec: BoxSpec, law: TailLaw, alpha: float, x_grid, site_cap: int = DEFAULT_SITE_CAP
-) -> float:
+def fit_lower_envelope_constant(spec: BoxSpec, law: TailLaw, alpha: float, x_grid) -> float:
     """Least-squares c1 in log(1 - A(x)) = log(c1) - x**delta over the grid.
 
     A is the exact max CDF at the given box, standing in for its large-L
@@ -360,7 +337,7 @@ def fit_lower_envelope_constant(
         raise ValueError("lower envelope fit applies to stretched_exp laws")
     logs = []
     for x in x_grid:
-        a_val = exact_max_cdf(spec, law, alpha, float(x), site_cap=site_cap)
+        a_val = exact_max_cdf(spec, law, alpha, float(x))
         if not 0.0 < a_val < 1.0:
             continue
         logs.append(math.log(1.0 - a_val) + float(x) ** law.delta)

@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from speclab.lattice import DEFAULT_SITE_CAP, BoxSpec, check_capacity, site_norm
+from speclab.lattice import DEFAULT_SITE_CAP, BoxSpec, CapacityError, site_norm
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,8 @@ def site_of(spec: BoxSpec, ordinal: int) -> tuple[int, ...]:
 
 def enumerate_box(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> Iterator[SiteIndex]:
     """Yield all sites of the box in lexicographic ordinal order."""
-    check_capacity(spec, site_cap)
+    if spec.site_count > site_cap:
+        raise CapacityError(f"box with {spec.site_count} sites exceeds cap {site_cap}")
     for ordinal in range(spec.site_count):
         yield SiteIndex(site=site_of(spec, ordinal), ordinal=ordinal)
 

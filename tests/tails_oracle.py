@@ -8,22 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from speclab.lattice import DEFAULT_SITE_CAP, BoxSpec
+from speclab.lattice import BoxSpec
 from speclab.scaling import tail_sum_stats
 from speclab.tails import DomainError, TailLaw, f_inv, tail_prob
 
 
-def tail_sum(
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    gamma: float,
-    x: float,
-    chunk: int = 1 << 18,
-    site_cap: int = DEFAULT_SITE_CAP,
-) -> float:
+def tail_sum(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float, x: float) -> float:
     """Exact deterministic sum over the box of P(f(V(n))/gamma >= x)."""
-    return tail_sum_stats(spec, law, alpha, gamma, x, chunk, site_cap)[0]
+    return tail_sum_stats(spec, law, alpha, gamma, x)[0]
 
 
 def sample_omega(law: TailLaw, u: float) -> float:

@@ -13,7 +13,6 @@ from speclab.scaling import (
     gamma_critical,
     gamma_flat,
     gamma_power,
-    h_eval,
     h_inv,
     resolve_gamma,
     sphere_surface_area,
@@ -21,6 +20,18 @@ from speclab.scaling import (
 )
 from speclab.tails import DomainError, power_log, stretched_exp
 from tails_oracle import site_tail_prob, tail_sum
+
+
+def h_eval(k: int, x) -> float:
+    """h_k(x) = x * log(x)**k."""
+    arr = np.asarray(x, dtype=np.float64)
+    if k == 0:
+        out = arr
+    else:
+        if np.any(arr <= 1.0):
+            raise DomainError("h_eval requires x > 1 for k >= 1")
+        out = arr * np.log(arr) ** k
+    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 # --- constants -------------------------------------------------------------

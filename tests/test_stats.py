@@ -312,6 +312,18 @@ def test_exact_max_cdf_monotonicity():
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def test_exact_max_cdf_ladder_keeps_the_callers_radius_order():
+    # alpha = 0: identical factors, so the value at radius L is (1 - e^-x)^(2L+1)
+    law = stretched_exp(1.0)
+    spec = BoxSpec(1, 50, "sup")
+    radii = [50, 25, 40]
+    ladder = exact_max_cdf_ladder(spec, law, 0.0, 8.0, radii)
+    expected = [(1.0 - math.exp(-8.0)) ** (2 * L + 1) for L in radii]
+    np.testing.assert_allclose(ladder, expected, rtol=1e-12)
+    ascending = exact_max_cdf_ladder(spec, law, 0.0, 8.0, sorted(radii))
+    np.testing.assert_array_equal(ladder, ascending[[2, 0, 1]])
+
+
 def test_exact_max_cdf_matches_direct_product():
     law = stretched_exp(0.5)
     spec = BoxSpec(2, 3, "sup")
