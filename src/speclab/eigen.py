@@ -1,16 +1,17 @@
-"""Eigenvalue computation: dense oracle paths and an iterative extremal solver.
+"""Eigenvalues of H: one exact entry point and an iterative extremal solver.
 
 `solver_path` is the one rule that picks how a Hamiltonian is solved, from
 its dimension, its site count, the configured solver and the dense cap:
 Lanczos, the d=1 tridiagonal path, or dense eigh. It also enforces each
 exact path's cap; the config check and every trial ask it and nothing else.
 
-The dense path materializes the operator and calls the LAPACK symmetric
-solver (Householder reduction to tridiagonal form, then implicit-shift
-QL/QR); for one-dimensional boxes the operator is already tridiagonal and
-the full spectrum comes straight from the tridiagonal QL driver in O(n^2).
-When only the m largest eigenvalues are needed exactly (the sandwich
-experiment's E_1), a one-dimensional box is instead solved by Sturm-sequence
+`full_spectrum(op, dense_cap, m=None)` is the only exact solve. At d >= 2 it
+materializes the operator and calls the LAPACK symmetric solver (Householder
+reduction to tridiagonal form, then implicit-shift QL/QR); for
+one-dimensional boxes the operator is already tridiagonal and the full
+spectrum comes straight from the tridiagonal QL driver in O(n^2). When only
+the m largest eigenvalues are needed (the sandwich experiment's E_1), a
+one-dimensional box is instead solved by Sturm-sequence
 bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
 for those m indices alone, in O(n m log(1/eps)); its values agree with the
 QL driver's to rounding (sandwich's e1_h moved by at most 6e-15 relative on
@@ -40,7 +41,11 @@ RITZ_STRIDE = 4
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in ascending order, with residuals for iterative results."""
+    """Eigenvalues in ascending order, with residuals for iterative results.
+
+    `method` names the path taken: one of `solver_path`'s names, or
+    "bisection" for the top slice of a d=1 box.
+    """
 
     values: np.ndarray
     method: str
@@ -55,7 +60,7 @@ class Spectrum:
 
 
 def solver_path(dimension: int, n: int, solver: str, dense_cap: int) -> str:
-    """The one rule for the path an n-site Hamiltonian with hopping is solved by.
+    """The one rule for the path an n-site Hamiltonian is solved by.
 
     Returns "lanczos" for solver "lanczos", and for "auto" above dense_cap.
     Otherwise ("dense", or "auto" up to dense_cap) returns the exact path of
@@ -72,67 +77,35 @@ def solver_path(dimension: int, n: int, solver: str, dense_cap: int) -> str:
     return path
 
 
-def dense_spectrum(op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
-    """All eigenvalues through the dense symmetric solver.
-
-    Diagonal operators are sorted directly (that is their exact spectrum).
-    """
-    if op.kind == "diagonal":
-        return Spectrum(values=np.sort(op.potential.values), method="dense")
-    H = op.to_dense(dense_cap)
-    vals = scipy.linalg.eigh(H, eigvals_only=True, driver="ev")
-    return Spectrum(values=vals, method="dense")
-
-
-def _tridiagonal(op: LatticeOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of a d=1 operator."""
-    diag = np.array(op.diagonal, dtype=np.float64)
-    off = np.ones(op.n - 1) if op.has_hopping else np.zeros(op.n - 1)
-    return diag, off
-
-
-def tridiagonal_spectrum(op: LatticeOperator) -> Spectrum:
-    """Full spectrum of a d=1 operator via the tridiagonal QL driver.
-
-    No cap is checked here: `full_spectrum` applies `solver_path`'s.
-    """
-    if op.spec.dimension != 1:
-        raise ValueError("tridiagonal path requires dimension 1")
-    vals = scipy.linalg.eigvalsh_tridiagonal(*_tridiagonal(op))
-    return Spectrum(values=vals, method="dense")
-
-
-def full_spectrum(op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT) -> Spectrum:
-    """All eigenvalues by the exact path `solver_path` picks for the operator.
-
-    A d=1 operator without hopping has a zero off-diagonal, whose QL
-    spectrum is its sorted diagonal.
-    """
-    if solver_path(op.spec.dimension, op.n, "dense", dense_cap) == "tridiagonal":
-        return tridiagonal_spectrum(op)
-    return dense_spectrum(op, dense_cap=dense_cap)
-
-
-def top_eigenvalues(
-    op: LatticeOperator, m: int, dense_cap: int = DENSE_CAP_DEFAULT
+def full_spectrum(
+    op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT, m: int | None = None
 ) -> Spectrum:
-    """The m largest eigenvalues, ascending, by the exact path of `solver_path`.
+    """All eigenvalues, or with m the m largest (ascending), on the exact path.
 
-    A d >= 2 operator gives the top of `dense_spectrum`. A d=1 operator is
-    solved by Sturm-sequence bisection (LAPACK stebz) for the indices
-    n-m+1..n alone, to LAPACK's default absolute tolerance eps*|T|; a
-    LinAlgError is raised when stebz reports failure or finds fewer than m.
+    `solver_path` picks the path and checks its cap. A d >= 2 operator is
+    materialized and solved by dense eigh; its top m are a slice of that
+    spectrum. A d=1 operator is tridiagonal: its full spectrum comes from
+    the QL driver, and its top m from Sturm-sequence bisection (LAPACK
+    stebz) for the indices n-m+1..n alone, to LAPACK's default absolute
+    tolerance eps*|T|; a LinAlgError is raised when stebz reports failure or
+    finds fewer than m.
     """
     n = op.n
-    if not 1 <= m <= n:
+    if m is not None and not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    if solver_path(op.spec.dimension, n, "dense", dense_cap) == "dense":
-        return Spectrum(values=dense_spectrum(op, dense_cap).values[-m:], method="dense")
+    path = solver_path(op.spec.dimension, n, "dense", dense_cap)
+    if path == "dense":
+        vals = scipy.linalg.eigh(op.to_dense(dense_cap), eigvals_only=True, driver="ev")
+        return Spectrum(values=vals if m is None else vals[-m:], method=path)
+    off = np.ones(n - 1)
+    if m is None:
+        return Spectrum(values=scipy.linalg.eigvalsh_tridiagonal(op.diagonal, off),
+                        method=path)
     # called directly: eigvalsh_tridiagonal's input checks cost as much as
     # the bisection itself on boxes of ~50 sites. Range 2 selects by 1-based
     # index; order "E" sorts ascending over the whole matrix
     found, vals, _, _, info = scipy.linalg.lapack.dstebz(
-        *_tridiagonal(op), 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
+        op.diagonal, off, 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
     if info != 0 or found < m:
         raise np.linalg.LinAlgError(
             f"stebz found {found} of the top {m} eigenvalues (info {info})")
@@ -261,9 +234,6 @@ def extremal_topk(
 
 
 def _small_dense_topk(op: LatticeOperator, m: int) -> Spectrum:
-    if op.kind == "diagonal":
-        vals = np.sort(op.potential.values)[-m:]
-        return Spectrum(values=vals, method="dense", residuals=np.zeros(m))
     H = op.to_dense(dense_cap=op.n)
     w, V = np.linalg.eigh(H)
     resid = np.linalg.norm(H @ V[:, -m:] - V[:, -m:] * w[-m:], axis=0)

@@ -37,7 +37,6 @@ from .eigen import (
     extremal_topk,
     full_spectrum,
     solver_path,
-    top_eigenvalues,
 )
 from .scaling import (
     SCALING_MODES,
@@ -295,16 +294,14 @@ def _interval_label(a: float, b: float) -> str:
 def _solve_h(cfg: ExperimentConfig, op, trial: int, m: int | None = None) -> Spectrum:
     """Top of H's spectrum on the path `solver_path` picks for the config.
 
-    Lanczos gives the top m (default `resolved_top_m()`). An exact path gives
-    the top m by `top_eigenvalues`, or with m None the full spectrum.
+    Lanczos gives the top m (default `resolved_top_m()`). Otherwise
+    `full_spectrum` gives the top m, or with m None every eigenvalue.
     """
     if solver_path(cfg.dimension, op.n, cfg.solver, cfg.dense_cap) == "lanczos":
         rng = derive_stream(cfg.master_seed, trial, STREAM_SOLVER)
         return extremal_topk(op, min(cfg.resolved_top_m() if m is None else m, op.n), rng,
                              tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    if m is None:
-        return full_spectrum(op, dense_cap=cfg.dense_cap)
-    return top_eigenvalues(op, m, dense_cap=cfg.dense_cap)
+    return full_spectrum(op, dense_cap=cfg.dense_cap, m=m)
 
 
 def _extremal_trial(args):
@@ -324,7 +321,7 @@ def _extremal_trial(args):
             eigs = eigs[eigs > 0.0]
             resid, converged, exact_counts = 0.0, True, True
         else:
-            op = build_hamiltonian(spec, potential, "full")
+            op = build_hamiltonian(spec, potential)
             spectrum = _solve_h(cfg, op, trial)
             eigs = spectrum.positive_descending()
             resid = 0.0 if spectrum.residuals is None else float(np.max(spectrum.residuals))
@@ -363,7 +360,7 @@ def _ids_trial(args):
     spec = cfg.box(L)
     rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
     potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
-    op = build_hamiltonian(spec, potential, "full")
+    op = build_hamiltonian(spec, potential)
     eigs = full_spectrum(op, dense_cap=cfg.dense_cap).values
     free = free_laplacian_eigs(cfg.dimension, L)
     band = 2.0 * cfg.dimension
@@ -390,7 +387,7 @@ def _sandwich_trial(args):
     e1v = {}
     for L in cfg.radii:
         pot = restrict_potential(big, L)
-        op = build_hamiltonian(pot.spec, pot, "full")
+        op = build_hamiltonian(pot.spec, pot)
         top = float(_solve_h(cfg, op, trial, 1).values[-1])
         e1[L] = top if top > 0.0 else 0.0
         e1v[L] = float(np.max(pot.values))
@@ -633,7 +630,7 @@ def _run_sample(cfg: ExperimentConfig, out: Path):
     spec = cfg.box(L)
     rng = derive_stream(cfg.master_seed, 0, STREAM_POTENTIAL)
     potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
-    op = build_hamiltonian(spec, potential, "full")
+    op = build_hamiltonian(spec, potential)
     sites = site_array(spec)
     rows = []
     for i in range(spec.site_count):

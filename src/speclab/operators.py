@@ -1,10 +1,12 @@
-"""Finite-box lattice Hamiltonians as matrix-free symmetric operators.
+"""The finite-box Hamiltonian H = Delta + V as a matrix-free symmetric operator.
 
 H restricted to the box acts as (Hu)(n) = sum over nearest neighbors m of
 u(m) plus V(n)u(n), with hard-wall (Dirichlet) truncation: hops leaving the
 box are dropped. Nearest neighbor means one coordinate changes by exactly 1.
 The potential is V(n) = omega_n / (1+|n|)**alpha with omega sampled from a
-tail law.
+tail law. `LatticeOperator` is always this one operator; the paper's two
+comparisons have closed forms instead: the free hopping spectrum
+(`free_laplacian_eigs`) and the spectrum of V alone (`v_spectrum`).
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ import numpy as np
 from .lattice import BoxSpec, check_capacity, site_coords, weights_array
 from .tails import TailLaw, sample_omega_array
 
-OPERATOR_KINDS = ("full", "diagonal", "free")
-
 DENSE_CAP_DEFAULT = 4096
 
 
@@ -25,7 +25,6 @@ class PotentialSample:
     """One realization of the random potential over a box."""
 
     spec: BoxSpec
-    alpha: float
     omegas: np.ndarray
     values: np.ndarray
 
@@ -45,7 +44,7 @@ def sample_potential(
     u = 1.0 - rng.random(spec.site_count)
     omegas = sample_omega_array(law, u)
     values = omegas / weights_array(spec, alpha)
-    return PotentialSample(spec=spec, alpha=alpha, omegas=omegas, values=values)
+    return PotentialSample(spec=spec, omegas=omegas, values=values)
 
 
 def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSample:
@@ -65,7 +64,6 @@ def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSamp
     block = (slice(spec.radius - radius, spec.radius + radius + 1),) * spec.dimension
     return PotentialSample(
         spec=BoxSpec(spec.dimension, radius, spec.norm_kind),
-        alpha=potential.alpha,
         omegas=potential.omegas.reshape(grid)[block].ravel(),
         values=potential.values.reshape(grid)[block].ravel(),
     )
@@ -73,11 +71,10 @@ def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSamp
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Matrix-free symmetric operator on a box: hopping and/or diagonal."""
+    """Matrix-free H = hopping + V on a box."""
 
     spec: BoxSpec
-    kind: str
-    potential: PotentialSample | None = None
+    potential: PotentialSample
 
     @property
     def n(self) -> int:
@@ -85,31 +82,19 @@ class LatticeOperator:
 
     @property
     def diagonal(self) -> np.ndarray:
-        if self.kind == "free":
-            return np.zeros(self.n)
         return self.potential.values
-
-    @property
-    def has_hopping(self) -> bool:
-        return self.kind in ("full", "free")
 
     def norm_bound(self) -> float:
         """Exact upper bound on the operator norm: 2d (hopping) + max |V|."""
-        bound = 2.0 * self.spec.dimension if self.has_hopping else 0.0
-        if self.kind != "free":
-            bound += self.potential.max_abs
-        return bound
+        return 2.0 * self.spec.dimension + self.potential.max_abs
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """(Hu)(n) = sum of u over in-box neighbors of n, plus V(n)u(n)."""
         if u.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got {u.shape}")
-        if self.kind == "diagonal":
-            return self.potential.values * u
         d, side = self.spec.dimension, self.spec.side
         grid = u.reshape((side,) * d)
-        out = self.diagonal.reshape((side,) * d) * grid if self.kind == "full" \
-            else np.zeros_like(grid)
+        out = self.diagonal.reshape((side,) * d) * grid
         for axis in range(d):
             lo = [slice(None)] * d
             hi = [slice(None)] * d
@@ -126,10 +111,9 @@ class LatticeOperator:
             raise CapacityDenseError(f"{n} sites exceeds dense cap {dense_cap}")
         H = np.zeros((n, n))
         np.fill_diagonal(H, self.diagonal)
-        if self.has_hopping:
-            for i, j in self.hop_pairs():
-                H[i, j] = 1.0
-                H[j, i] = 1.0
+        for i, j in self.hop_pairs():
+            H[i, j] = 1.0
+            H[j, i] = 1.0
         return H
 
     def hop_pairs(self) -> np.ndarray:
@@ -145,15 +129,10 @@ class LatticeOperator:
 
     def triplets(self) -> list[tuple[int, int, float]]:
         """Sparse (row, col, value) entries, row-major, both triangles."""
-        entries: dict[tuple[int, int], float] = {}
-        diag = self.diagonal
-        for i in range(self.n):
-            if diag[i] != 0.0 or self.kind != "free":
-                entries[(i, i)] = float(diag[i])
-        if self.has_hopping:
-            for i, j in self.hop_pairs():
-                entries[(int(i), int(j))] = 1.0
-                entries[(int(j), int(i))] = 1.0
+        entries = {(i, i): float(v) for i, v in enumerate(self.diagonal)}
+        for i, j in self.hop_pairs():
+            entries[(int(i), int(j))] = 1.0
+            entries[(int(j), int(i))] = 1.0
         return [(i, j, v) for (i, j), v in sorted(entries.items())]
 
 
@@ -162,20 +141,20 @@ class CapacityDenseError(Exception):
 
 
 def build_hamiltonian(
-    spec: BoxSpec, potential: PotentialSample | None, kind: str
+    spec: BoxSpec, potential: PotentialSample, kind: str = "full"
 ) -> LatticeOperator:
-    """Construct the operator, checking spec/potential consistency."""
-    if kind not in OPERATOR_KINDS:
-        raise ValueError(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
-    if kind == "free":
-        return LatticeOperator(spec=spec, kind=kind, potential=None)
-    if potential is None:
-        raise ValueError(f"kind={kind!r} requires a potential")
+    """H = hopping + V on the box, checking spec/potential consistency.
+
+    `kind` names the one operator there is; it stays only for positional
+    callers that pass "full", and any other value is rejected.
+    """
+    if kind != "full":
+        raise ValueError(f"kind must be 'full', got {kind!r}")
     if potential.spec != spec:
         raise ValueError("potential sampled on a different box")
     if potential.values.shape != (spec.site_count,):
         raise ValueError("potential shape mismatch")
-    return LatticeOperator(spec=spec, kind=kind, potential=potential)
+    return LatticeOperator(spec=spec, potential=potential)
 
 
 def free_laplacian_eigs(d: int, L: int) -> np.ndarray:

@@ -301,13 +301,15 @@ def exact_max_cdf_ladder(
 ) -> np.ndarray:
     """exact_max_cdf at several nested radii from one walk over the largest box.
 
-    Sites are attributed to shells by their sup-norm radius, so the value at
-    radius L accumulates exactly the shells s <= L; the values are
-    nonincreasing in L by construction and are returned in the order of
-    `radii`.
+    Every radius must lie in [1, spec.radius]. Sites are attributed to shells
+    by their sup-norm radius, so the value at radius L accumulates exactly
+    the shells s <= L; the values are nonincreasing in L by construction and
+    are returned in the order of `radii`.
     """
     if x < 0:
         raise DomainError("x must be >= 0")
+    if not all(1 <= r <= spec.radius for r in radii):
+        raise ValueError(f"radii must lie in [1, {spec.radius}], got {list(radii)}")
     L_max = max(radii)
     big = BoxSpec(spec.dimension, L_max, spec.norm_kind)
     check_capacity(big)  # before the shell arrays, as long as a d = 1 box

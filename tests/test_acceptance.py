@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speclab.eigen import dense_spectrum, extremal_topk
+from speclab.eigen import extremal_topk
 from speclab.harness import (
     STREAM_SOLVER,
     ExperimentConfig,
@@ -29,6 +29,7 @@ from speclab.scaling import (
     gamma_power,
 )
 from speclab.tails import power_log, stretched_exp
+from eigen_oracle import dense_eigs, free_operator
 from tails_oracle import tail_sum
 
 INF = math.inf
@@ -132,9 +133,9 @@ def test_criterion_05_eigensolver_oracle_equivalence():
     for trial in range(20):
         spec = BoxSpec(2, 15)
         pot = sample_potential(spec, law, 0.5, derive_stream(505, trial, 0))
-        op = build_hamiltonian(spec, pot, "full")
+        op = build_hamiltonian(spec, pot)
         s = extremal_topk(op, 10, derive_stream(505, trial, STREAM_SOLVER))
-        dense = dense_spectrum(op).values[-10:]
+        dense = dense_eigs(op)[-10:]
         worst = max(worst, float(np.max(np.abs(s.values - dense))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 60.0
@@ -147,7 +148,7 @@ def test_criterion_06_free_spectrum_identity():
     ok_support = True
     for d, L in ((1, 10), (2, 5)):
         formula = free_laplacian_eigs(d, L)
-        dense = dense_spectrum(build_hamiltonian(BoxSpec(d, L), None, "free")).values
+        dense = dense_eigs(free_operator(BoxSpec(d, L)))
         worst = max(worst, float(np.max(np.abs(formula - dense))))
         ok_support &= bool(np.all(np.abs(formula) <= 2 * d))
     ok = worst <= 1e-10 and ok_support
@@ -162,7 +163,7 @@ def test_criterion_07_weyl_comparison_bound():
     for trial, (d, L) in enumerate(cases):
         spec = BoxSpec(d, L)
         pot = sample_potential(spec, law, 0.5, derive_stream(707, trial, 0))
-        H = build_hamiltonian(spec, pot, "full").to_dense()
+        H = build_hamiltonian(spec, pot).to_dense()
         eigs_h = np.sort(np.linalg.eigvalsh(H))[::-1]
         eigs_v = np.sort(pot.values)[::-1]
         dev = float(np.max(np.abs(eigs_h - eigs_v))) - 2 * d

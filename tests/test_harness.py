@@ -13,7 +13,6 @@ import pytest
 from speclab.cli import build_parser, overrides_from
 from speclab import harness
 from speclab.cli import main as cli_main
-from speclab.eigen import full_spectrum
 from speclab.harness import (
     EXIT_ASSERT,
     EXIT_SOLVER,
@@ -27,7 +26,7 @@ from speclab.harness import (
     run_experiment,
 )
 from speclab.lattice import BoxSpec
-from speclab.operators import DENSE_CAP_DEFAULT, build_hamiltonian, sample_potential
+from speclab.operators import DENSE_CAP_DEFAULT, sample_potential
 from speclab.stats import rescale
 from speclab.tails import power_log, stretched_exp
 
@@ -267,8 +266,8 @@ def test_sandwich_worker_count_independence(tmp_path):
 
 
 def test_v_source_matches_diagonal_operator_pipeline(tmp_path):
-    # the no-solver V path must equal running the solve step on the
-    # diagonal operator, value for value
+    # the no-solver V path must equal the spectrum of the diagonal matrix
+    # diag(V), value for value
     cfg = small_extremal_cfg(tmp_path, trials=3)
     run_experiment(cfg)
     rows = (Path(cfg.out_dir) / "extremal_L60.csv").read_text().splitlines()[1:]
@@ -279,8 +278,8 @@ def test_v_source_matches_diagonal_operator_pipeline(tmp_path):
         pot = sample_potential(
             spec, cfg.law, cfg.alpha, derive_stream(cfg.master_seed, trial, 0)
         )
-        op = build_hamiltonian(spec, pot, "diagonal")
-        eigs = full_spectrum(op).positive_descending()
+        eigs = np.linalg.eigvalsh(np.diag(pot.values))[::-1]
+        eigs = eigs[eigs > 0.0]
         points = rescale(eigs, cfg.law, 121.0, source="V")
         assert row[3] == format(float(eigs[0]), ".17g")
         assert row[4] == format(points.top, ".17g")
@@ -379,31 +378,47 @@ def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, monkeypatch, d
 
 # --- the hooks the perfbench tracer patches -------------------------------------
 
-def load_perfbench_spans(monkeypatch) -> types.ModuleType:
-    """perfbench/spans.py, executed from its source without writing a cache.
+def load_perfbench(monkeypatch, stem: str) -> types.ModuleType:
+    """perfbench/<stem>.py, executed from its source without writing a cache.
 
-    Registered for the test only: its dataclass looks its module up by name.
+    Registered for the test only: a dataclass looks its module up by name.
     """
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    module = types.ModuleType("perfbench_spans")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    module = types.ModuleType(f"perfbench_{stem}")
     monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_every_tracer_hook_resolves(monkeypatch):
-    spans = load_perfbench_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     for module, attr, _ in spans.LAYER_FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for attr in spans.TRIAL_FUNCTIONS:
         assert callable(getattr(harness, attr, None)), attr
 
 
+def test_the_benchmark_layer_calls_still_run(monkeypatch):
+    # the positional calls perfbench/micro.py makes into the package
+    micro = load_perfbench(monkeypatch, "micro")
+    for d, L in ((1, 5), (2, 2)):
+        op = micro._operator(7, d, L)
+        full = micro.full_spectrum(op)
+        top = micro.extremal_topk(op, 2, np.random.default_rng(7))
+        np.testing.assert_allclose(top.values, full.values[-2:], atol=1e-12)
+    ladder = micro.exact_max_cdf_ladder(micro.BoxSpec(1, 100, "sup"), micro.stretched_exp(1.0),
+                                        1.0, 8.0, [25, 50, 100])
+    assert ladder.shape == (3,) and np.all(np.diff(ladder) <= 0)
+
+
 @pytest.mark.parametrize("kw, topk_calls, full_calls", [
     (dict(solver="lanczos"), 3, 0),  # 121 sites by Lanczos, once per trial
     (dict(), 0, 3),  # auto: the exact path at 121 sites
     (dict(experiment="ids", radii=(20, 40)), 0, 6),  # per trial and radius
-], ids=["extremal-lanczos", "extremal-exact", "ids"])
+    # E_1 by bisection, once per trial and radius
+    (dict(experiment="sandwich", radii=(10, 20), law=stretched_exp(1.0), alpha=1.0,
+          x_grid=(6.0,)), 0, 6),
+], ids=["extremal-lanczos", "extremal-exact", "ids", "sandwich-exact"])
 def test_trials_call_the_kernels_the_tracer_patches(tmp_path, monkeypatch, kw,
                                                     topk_calls, full_calls):
     calls = {"extremal_topk": 0, "full_spectrum": 0}

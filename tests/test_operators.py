@@ -13,6 +13,7 @@ from speclab.operators import (
 )
 from speclab.tails import power_log, stretched_exp
 
+from eigen_oracle import dense_eigs, free_operator
 from lattice_oracle import enumerate_box, ordinal_of
 
 
@@ -26,7 +27,7 @@ def random_potential(d, L, alpha=0.5, law=power_log(2.0, 0), seed=0, trial=0,
 # --- construction ----------------------------------------------------------
 
 def test_free_3site_chain_matrix():
-    op = build_hamiltonian(BoxSpec(1, 1), None, "free")
+    op = free_operator(BoxSpec(1, 1))
     expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     np.testing.assert_array_equal(op.to_dense(), expected)
     # apply agrees with the explicit matrix
@@ -34,16 +35,9 @@ def test_free_3site_chain_matrix():
     np.testing.assert_allclose(op.apply(u), expected @ u, rtol=0, atol=0)
 
 
-def test_diagonal_apply():
-    spec, pot = random_potential(1, 5)
-    op = build_hamiltonian(spec, pot, "diagonal")
-    u = np.arange(spec.site_count, dtype=float)
-    np.testing.assert_array_equal(op.apply(u), pot.values * u)
-
-
 def test_center_site_has_four_neighbors_d2():
     spec = BoxSpec(2, 1)
-    op = build_hamiltonian(spec, None, "free")
+    op = free_operator(spec)
     e_center = np.zeros(9)
     e_center[ordinal_of(spec, (0, 0))] = 1.0
     image = op.apply(e_center)
@@ -55,7 +49,7 @@ def test_center_site_has_four_neighbors_d2():
 
 def test_corner_site_single_neighbor_d1():
     spec = BoxSpec(1, 2)
-    op = build_hamiltonian(spec, None, "free")
+    op = free_operator(spec)
     e_corner = np.zeros(5)
     e_corner[0] = 1.0  # site -2
     image = op.apply(e_corner)
@@ -63,14 +57,14 @@ def test_corner_site_single_neighbor_d1():
 
 
 def test_build_validation():
-    spec = BoxSpec(1, 3)
+    spec, pot = random_potential(1, 3)
+    assert build_hamiltonian(spec, pot, "full").potential is pot
+    for kind in ("diagonal", "free", "banded"):
+        with pytest.raises(ValueError, match="kind must be 'full'"):
+            build_hamiltonian(spec, pot, kind)
+    _, other = random_potential(1, 4)
     with pytest.raises(ValueError):
-        build_hamiltonian(spec, None, "full")
-    with pytest.raises(ValueError):
-        build_hamiltonian(spec, None, "banded")
-    _, pot = random_potential(1, 4)
-    with pytest.raises(ValueError):
-        build_hamiltonian(spec, pot, "full")  # different box
+        build_hamiltonian(spec, other)  # different box
 
 
 # --- symmetry and support ---------------------------------------------------
@@ -78,7 +72,7 @@ def test_build_validation():
 @pytest.mark.parametrize("d,L", [(1, 20), (2, 4), (3, 2)])
 def test_symmetry_on_random_pairs(d, L):
     spec, pot = random_potential(d, L)
-    op = build_hamiltonian(spec, pot, "full")
+    op = build_hamiltonian(spec, pot)
     rng = np.random.default_rng(1)
     for _ in range(100):
         u = rng.standard_normal(spec.site_count)
@@ -90,13 +84,13 @@ def test_symmetry_on_random_pairs(d, L):
 
 def test_dense_materialization_exactly_symmetric():
     spec, pot = random_potential(2, 3)
-    H = build_hamiltonian(spec, pot, "full").to_dense()
+    H = build_hamiltonian(spec, pot).to_dense()
     np.testing.assert_array_equal(H, H.T)
 
 
 def test_apply_matches_dense():
     spec, pot = random_potential(2, 3)
-    op = build_hamiltonian(spec, pot, "full")
+    op = build_hamiltonian(spec, pot)
     H = op.to_dense()
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -106,7 +100,7 @@ def test_apply_matches_dense():
 
 def test_rayleigh_quotient_within_norm_bound():
     spec, pot = random_potential(2, 4)
-    op = build_hamiltonian(spec, pot, "full")
+    op = build_hamiltonian(spec, pot)
     bound = op.norm_bound()
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -117,7 +111,7 @@ def test_rayleigh_quotient_within_norm_bound():
 
 def test_eigenvalue_support_interval():
     spec, pot = random_potential(1, 50)
-    op = build_hamiltonian(spec, pot, "full")
+    op = build_hamiltonian(spec, pot)
     eigs = np.linalg.eigvalsh(op.to_dense())
     d = spec.dimension
     vmax = pot.max_abs
@@ -127,7 +121,7 @@ def test_eigenvalue_support_interval():
 
 def test_dense_cap_enforced():
     spec, pot = random_potential(1, 100)
-    op = build_hamiltonian(spec, pot, "full")
+    op = build_hamiltonian(spec, pot)
     with pytest.raises(CapacityDenseError):
         op.to_dense(dense_cap=10)
 
@@ -147,8 +141,7 @@ def test_free_eigs_d2_l1_tensor_sums():
 
 @pytest.mark.parametrize("d,L", [(1, 10), (2, 5), (3, 2)])
 def test_free_eigs_match_dense_oracle(d, L):
-    op = build_hamiltonian(BoxSpec(d, L), None, "free")
-    dense = np.linalg.eigvalsh(op.to_dense())
+    dense = dense_eigs(free_operator(BoxSpec(d, L)))
     formula = free_laplacian_eigs(d, L)
     assert np.max(np.abs(dense - formula)) <= 1e-10
     assert np.all(np.abs(formula) <= 2 * d)
@@ -168,8 +161,7 @@ def test_potential_invariants():
 def test_v_spectrum_sorts_descending():
     spec = BoxSpec(1, 1)
     pot = sample_potential(spec, power_log(1.0, 0), 0.0, derive_stream(9, 0, 0))
-    pot = pot.__class__(spec=spec, alpha=0.0,
-                        omegas=np.array([3.0, 1.0, 2.0]),
+    pot = pot.__class__(spec=spec, omegas=np.array([3.0, 1.0, 2.0]),
                         values=np.array([3.0, 1.0, 2.0]))
     np.testing.assert_array_equal(v_spectrum(pot), [3.0, 2.0, 1.0])
     assert v_spectrum(pot)[0] == np.max(pot.values)
@@ -198,7 +190,7 @@ def test_weyl_comparison_small_instances():
     # |E_j(H) - E_j(V)| <= 2d for every rank j, on dense instances
     for d, L in ((1, 30), (2, 4)):
         spec, pot = random_potential(d, L, alpha=0.5, law=stretched_exp(1.0))
-        H = build_hamiltonian(spec, pot, "full").to_dense()
+        H = build_hamiltonian(spec, pot).to_dense()
         eigs_h = np.sort(np.linalg.eigvalsh(H))[::-1]
         eigs_v = np.sort(pot.values)[::-1]
         assert np.max(np.abs(eigs_h - eigs_v)) <= 2 * d + 1e-9
@@ -206,7 +198,7 @@ def test_weyl_comparison_small_instances():
 
 def test_triplet_dump_reconstructs_dense():
     spec, pot = random_potential(2, 2)
-    op = build_hamiltonian(spec, pot, "full")
+    op = build_hamiltonian(spec, pot)
     H = np.zeros((spec.site_count, spec.site_count))
     for i, j, v in op.triplets():
         H[i, j] = v

@@ -238,7 +238,7 @@ def test_weyl_event_inclusions_per_realization():
         spec = BoxSpec(1, 40, "sup")
         pot = sample_potential(spec, stretched_exp(1.0), 1.0,
                                derive_stream(55, trial, 0))
-        H = build_hamiltonian(spec, pot, "full").to_dense()
+        H = build_hamiltonian(spec, pot).to_dense()
         e1h = float(np.linalg.eigvalsh(H)[-1])
         e1v = float(np.max(pot.values))
         for x in np.linspace(2.0, 12.0, 21):
@@ -322,6 +322,18 @@ def test_exact_max_cdf_ladder_keeps_the_callers_radius_order():
     np.testing.assert_allclose(ladder, expected, rtol=1e-12)
     ascending = exact_max_cdf_ladder(spec, law, 0.0, 8.0, sorted(radii))
     np.testing.assert_array_equal(ladder, ascending[[2, 0, 1]])
+
+
+@pytest.mark.parametrize("radii", [[50], [0], [0, 5]])
+def test_exact_max_cdf_ladder_rejects_radii_outside_the_box(radii):
+    with pytest.raises(ValueError, match=r"^radii must lie in \[1, 10\]"):
+        exact_max_cdf_ladder(BoxSpec(1, 10, "sup"), stretched_exp(1.0), 0.0, 8.0, radii)
+
+
+def test_exact_max_cdf_ladder_accepts_radii_up_to_the_box():
+    ladder = exact_max_cdf_ladder(BoxSpec(1, 10, "sup"), stretched_exp(1.0), 0.0, 8.0, [1, 10])
+    expected = [(1.0 - math.exp(-8.0)) ** (2 * L + 1) for L in (1, 10)]
+    np.testing.assert_allclose(ladder, expected, rtol=1e-12)
 
 
 def test_exact_max_cdf_matches_direct_product():
