@@ -8,6 +8,9 @@ outputs carry no timing, making reruns byte-identical.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
 import math
 import time
@@ -18,6 +21,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .lattice import BoxSpec, CapacityError, check_capacity, site_array
@@ -395,11 +399,53 @@ def _sandwich_trial(args):
             "wall": time.perf_counter() - t0}
 
 
+@functools.cache
+def _bundled_openblas() -> tuple[tuple[str, Callable, Callable], ...]:
+    """(library basename, set_num_threads, get_num_threads) of each OpenBLAS
+    bundled with numpy (`numpy.libs`) and scipy (`scipy.libs`); empty when
+    neither wheel bundles one with the `scipy_openblas_` entry points."""
+    found = []
+    for pkg in (np, scipy):
+        site = Path(pkg.__file__).resolve().parent.parent
+        for path in sorted(glob.glob(str(site / f"{pkg.__name__}.libs" / "*openblas*"))):
+            lib = ctypes.CDLL(path)
+            suffix = "64_" if "openblas64" in path else ""
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter is None or getter is None:
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            found.append((Path(path).name, setter, getter))
+    return tuple(found)
+
+
+def _pin_blas() -> dict[str, int]:
+    """Pin every bundled OpenBLAS to one thread; return {library: threads}.
+
+    Parallelism comes only from `workers`: a multi-threaded gemv burns idle
+    cores and rounds Lanczos eigenvalues differently per thread count.
+    Called at the start of `run_experiment` and as the pool's worker
+    initializer (forkserver and spawn workers do not inherit the pin). A
+    library already at one thread is left alone, because OpenBLAS's setter
+    restarts a thread pool that a fork shut down, and each new thread spins
+    ~0.04 s of CPU before it sleeps. The old count is not restored, so a
+    host process stays at one BLAS thread once it has called
+    `run_experiment`. Returns {} when no bundled OpenBLAS is found.
+    """
+    pinned = {}
+    for name, set_threads, get_threads in _bundled_openblas():
+        if get_threads() != 1:
+            set_threads(1)
+        pinned[name] = get_threads()
+    return pinned
+
+
 def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     """Map trials over the pool, then fold in submission (trial) order."""
     if cfg.workers <= 1 or len(payloads) <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_pin_blas) as pool:
         return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * cfg.workers))))
 
 
@@ -663,7 +709,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one configured experiment; write CSVs, summary, and manifest.
 
     Returns the summary dict (with `exit_code`, `csv_files` keys added).
+    Pins the bundled OpenBLAS of this process to one thread for good; see
+    `_pin_blas`.
     """
+    blas_threads = _pin_blas()
     cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -690,11 +739,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     with open(out / f"{cfg.experiment}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     manifest = {
+        "blas_threads": blas_threads,
         "config": cfg.to_dict(),
         "package_version": __version__,
         "versions": {
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
+            "scipy": scipy.__version__,
         },
     }
     with open(out / "manifest.json", "w") as fh:

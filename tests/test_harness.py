@@ -1,7 +1,10 @@
 import importlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
 import types
 from dataclasses import replace
@@ -374,6 +377,97 @@ def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, monkeypatch, d
     for trial, e1 in ladder.items():
         slack = 1e-12 * (2 * d + max(e1))
         assert all(b >= a - slack for a, b in zip(e1, e1[1:])), trial
+
+
+# --- one BLAS thread per process -------------------------------------------------
+
+needs_openblas = pytest.mark.skipif(
+    not harness._bundled_openblas(),
+    reason="numpy and scipy bundle no OpenBLAS with scipy_openblas_ entry points")
+
+
+def blas_threads() -> dict[str, int]:
+    return {name: get() for name, _, get in harness._bundled_openblas()}
+
+
+def set_blas_threads(n: int) -> None:
+    for _, set_threads, _ in harness._bundled_openblas():
+        set_threads(n)
+
+
+def _blas_threads_probe(_payload):
+    """Mapped through the pool: the worker's pid and its BLAS thread counts."""
+    return os.getpid(), blas_threads()
+
+
+@needs_openblas
+def test_output_does_not_depend_on_blas_thread_count(tmp_path):
+    # d=2, L=70 (19881 sites): the Lanczos gemv Q[:t] @ w rounds differently
+    # on 1 and 2 OpenBLAS threads at this size unless the run pins one
+    src = Path(__file__).resolve().parents[1] / "src"
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        subprocess.run(
+            [sys.executable, "-m", "speclab.cli", "extremal", "--dimension", "2",
+             "--L", "70", "--trials", "4", "--workers", "1", "--solver", "lanczos",
+             "--source", "H", "--seed", "7", "--out", str(out)],
+            env=env, cwd=tmp_path, check=True, capture_output=True, timeout=300)
+        csvs.append((out / "extremal_L70.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+@needs_openblas
+def test_serial_run_pins_every_bundled_openblas(tmp_path):
+    set_blas_threads(2)
+    try:
+        summary = run_experiment(small_extremal_cfg(tmp_path, trials=2))
+        assert set(blas_threads().values()) == {1}
+    finally:
+        set_blas_threads(1)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == blas_threads()
+    # the summary is compared key for key against stored references
+    assert "blas_threads" not in summary
+
+
+@needs_openblas
+def test_pool_workers_pin_their_own_blas(tmp_path):
+    # the host runs 2 threads here, so a worker that merely inherited the
+    # host's setting would read 2
+    set_blas_threads(2)
+    try:
+        cfg = small_extremal_cfg(tmp_path, workers=2)
+        results = harness._map_trials(cfg, _blas_threads_probe, list(range(8)))
+    finally:
+        set_blas_threads(1)
+    pinned = {name: 1 for name, _, _ in harness._bundled_openblas()}
+    assert all(pid != os.getpid() and threads == pinned for pid, threads in results)
+
+
+def _os_threads_probe(_payload):
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_openblas
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir()
+                    or multiprocessing.get_start_method() != "fork",
+                    reason="counts a forked worker's threads through /proc")
+def test_forked_workers_of_a_pinned_host_start_no_blas_threads(tmp_path):
+    # OpenBLAS's setter restarts the pool a fork shut down, and its threads
+    # spin before they sleep; a worker that inherited the pin must not call it
+    harness._pin_blas()
+    cfg = small_extremal_cfg(tmp_path, workers=2)
+    assert harness._map_trials(cfg, _os_threads_probe, list(range(4))) == [1] * 4
+
+
+def test_run_completes_without_a_bundled_openblas(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "_bundled_openblas", lambda: ())
+    cfg = small_extremal_cfg(tmp_path, workers=2, trials=4)
+    assert run_experiment(cfg)["exit_code"] == 0
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {}
 
 
 # --- the hooks the perfbench tracer patches -------------------------------------
