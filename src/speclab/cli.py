@@ -23,13 +23,11 @@ from .harness import (
     run_experiment,
 )
 from .lattice import CapacityError
-from .operators import CapacityDenseError
 from .scaling import RegimeError
 from .tails import DomainError
 
 # errors of the input, not of the program: one line on stderr and exit 1
-USAGE_ERRORS = (ConfigError, CapacityError, CapacityDenseError, DomainError,
-                RegimeError, OSError)
+USAGE_ERRORS = (ConfigError, CapacityError, DomainError, RegimeError, OSError)
 
 # keys whose flag is not spelled --<key>, and the argparse options of a flag
 FLAG_NAMES = {"radii": "--L", "master_seed": "--seed"}

@@ -16,11 +16,9 @@ bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
 for those m indices alone, in O(n m log(1/eps)); its values agree with the
 QL driver's to rounding (sandwich's e1_h moved by at most 6e-15 relative on
 configs/sandwich.cfg, measured).
-The extremal solver is thick-restart Lanczos with full reorthogonalization
-of the Krylov basis by classical Gram-Schmidt applied twice (CGS2), converging
-the m largest eigenvalues by residual. The basis is stored one vector per
-contiguous row, and the Ritz values of the projected matrix are checked every
-RITZ_STRIDE = 4 steps rather than on every step.
+The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
+(scipy's `eigsh`) for the m largest eigenvalues, with every residual
+re-verified against the operator.
 """
 from __future__ import annotations
 
@@ -28,15 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from .operators import DENSE_CAP_DEFAULT, CapacityDenseError, LatticeOperator
+from .lattice import CapacityError
+from .operators import DENSE_CAP_DEFAULT, LatticeOperator
 
 TRIDIAG_CAP_DEFAULT = 200_000
 LANCZOS_TOL_DEFAULT = 1e-10
 LANCZOS_MAX_ITER_DEFAULT = 2000
-# Lanczos steps between two Ritz checks: an eigh of the projected matrix
-# costs more than a step, and convergence is seen at most 3 steps late
-RITZ_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -65,15 +62,15 @@ def solver_path(dimension: int, n: int, solver: str, dense_cap: int) -> str:
     Returns "lanczos" for solver "lanczos", and for "auto" above dense_cap.
     Otherwise ("dense", or "auto" up to dense_cap) returns the exact path of
     the dimension: "tridiagonal" in dimension 1 (QL for a full spectrum,
-    bisection for a top slice) and "dense" otherwise. Raises
-    CapacityDenseError when n exceeds that exact path's cap, so a
-    configuration can be rejected before any operator is built.
+    bisection for a top slice) and "dense" otherwise. Raises CapacityError
+    when n exceeds that exact path's cap, so a configuration can be
+    rejected before any operator is built.
     """
     if solver == "lanczos" or (solver == "auto" and n > dense_cap):
         return "lanczos"
     path, cap = ("tridiagonal", TRIDIAG_CAP_DEFAULT) if dimension == 1 else ("dense", dense_cap)
     if n > cap:
-        raise CapacityDenseError(f"{n} sites exceeds {path} cap {cap}")
+        raise CapacityError(f"{n} sites exceeds {path} cap {cap}")
     return path
 
 
@@ -118,119 +115,70 @@ def extremal_topk(
     rng: np.random.Generator,
     tol: float = LANCZOS_TOL_DEFAULT,
     max_iter: int = LANCZOS_MAX_ITER_DEFAULT,
-    basis_cap: int | None = None,
 ) -> Spectrum:
-    """The m largest eigenvalues by thick-restart Lanczos.
+    """The m largest eigenvalues by ARPACK's implicitly restarted Lanczos.
 
-    Full reorthogonalization keeps the Krylov basis orthonormal so no ghost
-    copies of converged eigenvalues appear: each new vector is projected
-    against the whole basis, then projected once more (CGS2; two passes of
-    classical Gram-Schmidt reach working-precision orthogonality, Giraud,
-    Langou & Rozloznik 2005). Convergence is declared per Ritz value when its
-    residual drops below tol * (2d + max|V|), an exact upper bound on the
-    operator norm. The projected matrix is diagonalized and the residuals
-    estimated only every RITZ_STRIDE = 4 steps once the basis holds m vectors,
-    and always at a restart, at max_iter and when the basis spans the space;
-    `iterations` may therefore exceed that of a check on every step by at
-    most 3. When the basis reaches its cap it is compressed to the leading
-    Ritz vectors and the iteration continues. Residuals of the returned pairs
-    are re-verified with one apply each.
+    One `scipy.sparse.linalg.eigsh` call (which="LA", default ncv) on a
+    LinearOperator around `op.apply`; ARPACK keeps its Lanczos basis
+    orthogonal and restarts it implicitly (Lehoucq, Sorensen & Yang, ARPACK
+    Users' Guide, SIAM 1998). It accepts a Ritz pair when its residual is at
+    most tol * max(eps**(2/3), |theta|), and |theta| <= 2d + max|V|, an exact
+    upper bound on the operator norm. The residual of every returned pair is
+    re-verified with one apply; the result is converged when ARPACK finished,
+    all m values are present and every residual is at most
+    4 * tol * (2d + max|V|). Boxes of n <= max(2m + 2, 32) sites are solved
+    densely instead: ARPACK needs m < n, and a dense solve is cheap there.
 
     Like any single-vector Lanczos, exact eigenvalue multiplicities are
-    resolved only through rounding noise across restarts; random potentials
-    have simple spectra almost surely, so this matters only for constructed
+    resolved only through rounding noise; random potentials have simple
+    spectra almost surely, so this matters only for constructed
     exactly-degenerate inputs.
 
     Parameters
     ----------
     m : number of extremal eigenvalues requested (1 <= m <= n).
-    rng : generator supplying the start vector; fixing it fixes the output.
+    rng : generator supplying the start vector, and any fresh direction
+        ARPACK asks for; fixing it fixes the output.
     tol : relative residual target.
-    max_iter : cap on operator applications; on exhaustion the best
-        available values are returned flagged as unconverged.
+    max_iter : ARPACK's cap on restart cycles. On exhaustion the result
+        holds only the pairs ARPACK converged, possibly none, and is flagged
+        as unconverged.
+
+    `iterations` counts the operator applications ARPACK made.
     """
     n = op.n
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    norm_est = max(op.norm_bound(), np.finfo(float).tiny)
-    tol_abs = tol * norm_est
-    if basis_cap is None:
-        basis_cap = min(n, max(3 * m + 20, 80))
-    if n <= max(2 * m + 2, 32) or basis_cap >= n:
+    if n <= max(2 * m + 2, 32):
         return _small_dense_topk(op, m)
-    keep = min(2 * m + 5, basis_cap - 2)
-    matvec = op.apply
+    applies = 0
 
-    # one basis vector per contiguous row: projections read only Q[:t]
-    Q = np.zeros((basis_cap + 1, n))
-    T = np.zeros((basis_cap + 1, basis_cap + 1))
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q[0] = q
-    u = matvec(q)
-    T[0, 0] = q @ u
-    w = u - T[0, 0] * q
-    t = 1
-    niter = 1
-    while True:
-        # w has had one projection against Q[:t]; a second pass restores
-        # orthogonality to working precision (CGS2, "twice is enough")
-        w -= (Q[:t] @ w) @ Q[:t]
-        beta = float(np.linalg.norm(w))
-        last = niter >= max_iter or t >= n
-        if last or t == basis_cap or (t >= m and (t - m) % RITZ_STRIDE == 0):
-            theta, S = np.linalg.eigh(T[:t, :t])
-            top = np.arange(max(t - m, 0), t)
-            res_est = np.abs(beta * S[t - 1, top])
-            done = t >= m and np.all(res_est <= tol_abs)
-            if done or last:
-                nm = min(m, t)
-                sel = np.arange(t - nm, t)
-                vals = theta[sel]
-                Y = S[:, sel].T @ Q[:t]
-                resid = np.empty(nm)
-                for i in range(nm):
-                    resid[i] = np.linalg.norm(matvec(Y[i]) - vals[i] * Y[i])
-                return Spectrum(
-                    values=vals,
-                    method="lanczos",
-                    residuals=resid,
-                    converged=bool(done and np.all(resid <= tol_abs * 4.0)),
-                    iterations=niter,
-                )
-        fresh_direction = beta <= 1e-14 * norm_est
-        if fresh_direction:
-            # invariant subspace hit: continue in a fresh random direction;
-            # the true coupling of that direction to the old basis is zero
-            w = rng.standard_normal(n)
-            for _ in range(2):
-                w -= (Q[:t] @ w) @ Q[:t]
-            beta = float(np.linalg.norm(w))
-        if t == basis_cap:
-            idx = np.arange(t - keep, t)
-            Q[:keep] = S[:, idx].T @ Q[:t]
-            T[:, :] = 0.0
-            T[:keep, :keep] = np.diag(theta[idx])
-            coupling = (0.0 if fresh_direction else beta) * S[t - 1, idx]
-            q = w / beta
-            Q[keep] = q
-            T[keep, :keep] = coupling
-            T[:keep, keep] = coupling
-            u = matvec(q)
-            T[keep, keep] = q @ u
-            t = keep + 1
-            w = u - (Q[:t] @ u) @ Q[:t]
-        else:
-            q = w / beta
-            Q[t] = q
-            u = matvec(q)
-            h = Q[: t + 1] @ u
-            T[:t, t] = h[:t]
-            T[t, :t] = h[:t]
-            T[t, t] = h[t]
-            w = u - h @ Q[: t + 1]
-            t += 1
-        niter += 1
+    def matvec(u: np.ndarray) -> np.ndarray:
+        nonlocal applies
+        applies += 1
+        return op.apply(u)
+
+    A = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    # eigsh draws any fresh direction it needs from `rng`; left unset it would
+    # seed a generator from the operating system
+    try:
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            A, k=m, which="LA", v0=rng.standard_normal(n), tol=tol, maxiter=max_iter,
+            rng=rng)
+        finished = True
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+        finished = False
+    # dseupd returns the Ritz values in ascending order, as Spectrum holds them
+    resid = np.array([np.linalg.norm(op.apply(v) - x * v) for x, v in zip(vals, vecs.T)])
+    tol_abs = tol * max(op.norm_bound(), np.finfo(float).tiny)
+    return Spectrum(
+        values=vals,
+        method="lanczos",
+        residuals=resid,
+        converged=bool(finished and vals.size == m and np.all(resid <= 4.0 * tol_abs)),
+        iterations=applies,
+    )
 
 
 def _small_dense_topk(op: LatticeOperator, m: int) -> Spectrum:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import BoxSpec, check_capacity, site_coords, weights_array
+from .lattice import BoxSpec, CapacityError, check_capacity, site_coords, weights_array
 from .tails import TailLaw, sample_omega_array
 
 DENSE_CAP_DEFAULT = 4096
@@ -108,7 +108,7 @@ class LatticeOperator:
         """Materialized symmetric matrix; guarded by a site cap."""
         n = self.n
         if n > dense_cap:
-            raise CapacityDenseError(f"{n} sites exceeds dense cap {dense_cap}")
+            raise CapacityError(f"{n} sites exceeds dense cap {dense_cap}")
         H = np.zeros((n, n))
         np.fill_diagonal(H, self.diagonal)
         for i, j in self.hop_pairs():
@@ -134,10 +134,6 @@ class LatticeOperator:
             entries[(int(i), int(j))] = 1.0
             entries[(int(j), int(i))] = 1.0
         return [(i, j, v) for (i, j), v in sorted(entries.items())]
-
-
-class CapacityDenseError(Exception):
-    """Raised when dense materialization is requested above the cap."""
 
 
 def build_hamiltonian(

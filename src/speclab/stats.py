@@ -50,7 +50,6 @@ class RescaledPointSet:
     """Descending rescaled extremes f(E_j)/gamma from one spectrum."""
 
     points: np.ndarray
-    source: str
     dropped_below_threshold: int
 
     @property
@@ -59,7 +58,7 @@ class RescaledPointSet:
         return float(self.points[0]) if self.points.size else 0.0
 
 
-def rescale(eigs_desc: np.ndarray, law: TailLaw, gamma: float, source: str = "H") -> RescaledPointSet:
+def rescale(eigs_desc: np.ndarray, law: TailLaw, gamma: float) -> RescaledPointSet:
     """Apply f(.)/gamma to eigenvalues at or above the law's clamp point.
 
     Input must be positive and descending; order is preserved because f is
@@ -73,7 +72,6 @@ def rescale(eigs_desc: np.ndarray, law: TailLaw, gamma: float, source: str = "H"
     points = f_eval(law, kept) / gamma if kept.size else np.empty(0)
     return RescaledPointSet(
         points=np.asarray(points, dtype=np.float64),
-        source=source,
         dropped_below_threshold=int(eigs.size - kept.size),
     )
 

@@ -245,9 +245,11 @@ def test_rerun_is_byte_identical(tmp_path):
     assert b1 == b2
 
 
-def test_worker_count_independence(tmp_path):
-    cfg1 = small_extremal_cfg(tmp_path / "w1", workers=1, trials=8)
-    cfg3 = small_extremal_cfg(tmp_path / "w3", workers=3, trials=8)
+@pytest.mark.parametrize("solver", ["auto", "lanczos"])
+def test_worker_count_independence(tmp_path, solver):
+    # 121 sites: auto takes the exact tridiagonal path, lanczos runs ARPACK
+    cfg1 = small_extremal_cfg(tmp_path / "w1", workers=1, trials=8, solver=solver)
+    cfg3 = small_extremal_cfg(tmp_path / "w3", workers=3, trials=8, solver=solver)
     run_experiment(cfg1)
     run_experiment(cfg3)
     b1 = (Path(cfg1.out_dir) / "extremal_L60.csv").read_bytes()
@@ -283,7 +285,7 @@ def test_v_source_matches_diagonal_operator_pipeline(tmp_path):
         )
         eigs = np.linalg.eigvalsh(np.diag(pot.values))[::-1]
         eigs = eigs[eigs > 0.0]
-        points = rescale(eigs, cfg.law, 121.0, source="V")
+        points = rescale(eigs, cfg.law, 121.0)
         assert row[3] == format(float(eigs[0]), ".17g")
         assert row[4] == format(points.top, ".17g")
 
@@ -557,6 +559,26 @@ def test_solver_failure_exit_code(tmp_path):
     assert summary["flagged_trials_total"] == 4
 
 
+def test_trials_with_no_converged_pair_are_written_flagged(tmp_path):
+    # capped at one ARPACK iteration at tol 1e-15, trials 1 and 3 of this box
+    # converge no pair at all
+    cfg = small_extremal_cfg(
+        tmp_path, trials=4, dimension=2, radii=(15,), alpha=0.5, master_seed=0,
+        scaling_mode="power", top_m=10, solver="lanczos", solver_max_iter=1,
+        solver_tol=1e-15, source="H",
+    )
+    summary = run_experiment(cfg)
+    assert summary["exit_code"] == EXIT_SOLVER
+    lines = (Path(cfg.out_dir) / "extremal_L15.csv").read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    rows = [dict(zip(header, row)) for row in rows]
+    assert [row["trial"] for row in rows] == ["0", "1", "2", "3"]
+    assert all(row["converged"] == "0" for row in rows)
+    empty = [row["trial"] for row in rows if row["points"] == ""]
+    assert empty == ["1", "3"]
+    assert all(rows[int(t)]["e1_raw"] == "0" for t in empty)
+
+
 # --- CLI ------------------------------------------------------------------------
 
 def test_cli_tailsum(tmp_path, capsys):
@@ -703,10 +725,10 @@ def test_seed_range_bounds_accepted():
 
 
 @pytest.mark.parametrize("argv, before_compute", [
-    # d = 3 box over the site cap (CapacityError)
+    # d = 3 box over the site cap ("exceeds cap 100000000")
     (["tailsum", "--dimension", "3", "--L", "250", "--alpha", "0.5", "--p", "1",
       "--scaling-mode", "power"], True),
-    # dense spectrum above dense_cap (CapacityDenseError)
+    # dense spectrum above dense_cap ("dense cap")
     (["ids", "--dimension", "2", "--L", "40", "--alpha", "0.5"], True),
     # calibrated mode whose tail sum can never reach 1/x (DomainError)
     (["tailsum", "--L", "3", "--alpha", "0.5", "--scaling-mode", "calibrated",

@@ -79,7 +79,7 @@ OVER_CAP_CALLS = {
 def test_over_cap_box_raises_before_allocating(name):
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="exceeds cap 100000000"):
             OVER_CAP_CALLS[name]()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

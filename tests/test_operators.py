@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from speclab.harness import derive_stream
-from speclab.lattice import BoxSpec
+from speclab.lattice import BoxSpec, CapacityError
 from speclab.operators import (
-    CapacityDenseError,
     build_hamiltonian,
     free_laplacian_eigs,
     restrict_potential,
@@ -122,7 +121,7 @@ def test_eigenvalue_support_interval():
 def test_dense_cap_enforced():
     spec, pot = random_potential(1, 100)
     op = build_hamiltonian(spec, pot)
-    with pytest.raises(CapacityDenseError):
+    with pytest.raises(CapacityError, match="exceeds dense cap 10$"):
         op.to_dense(dense_cap=10)
 
 

@@ -27,10 +27,9 @@ INF = math.inf
 # --- rescaling ---------------------------------------------------------------
 
 def test_rescale_identity_law():
-    out = rescale(np.array([50.0, 30.0]), power_log(1.0, 0), 100.0, source="V")
+    out = rescale(np.array([50.0, 30.0]), power_log(1.0, 0), 100.0)
     np.testing.assert_allclose(out.points, [0.5, 0.3], rtol=1e-15)
     assert out.dropped_below_threshold == 0
-    assert out.source == "V"
 
 
 def test_rescale_square_law():
