@@ -10,7 +10,7 @@ materializes the operator and calls the LAPACK symmetric solver (Householder
 reduction to tridiagonal form, then implicit-shift QL/QR); for
 one-dimensional boxes the operator is already tridiagonal and the full
 spectrum comes straight from the tridiagonal QL driver in O(n^2). When only
-the m largest eigenvalues are needed (the sandwich experiment's E_1), a
+the m largest eigenvalues are needed, as in every extremal experiment, a
 one-dimensional box is instead solved by Sturm-sequence
 bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
 for those m indices alone, in O(n m log(1/eps)); its values agree with the
@@ -126,8 +126,9 @@ def extremal_topk(
     upper bound on the operator norm. The residual of every returned pair is
     re-verified with one apply; the result is converged when ARPACK finished,
     all m values are present and every residual is at most
-    4 * tol * (2d + max|V|). Boxes of n <= max(2m + 2, 32) sites are solved
-    densely instead: ARPACK needs m < n, and a dense solve is cheap there.
+    4 * tol * (2d + max|V|). Boxes of n <= max(2m + 2, 32) sites take
+    `full_spectrum`'s exact top m instead: ARPACK needs m < n, and an exact
+    solve is cheap there.
 
     Like any single-vector Lanczos, exact eigenvalue multiplicities are
     resolved only through rounding noise; random potentials have simple
@@ -150,7 +151,7 @@ def extremal_topk(
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
     if n <= max(2 * m + 2, 32):
-        return _small_dense_topk(op, m)
+        return full_spectrum(op, dense_cap=n, m=m)
     applies = 0
 
     def matvec(u: np.ndarray) -> np.ndarray:
@@ -180,9 +181,3 @@ def extremal_topk(
         iterations=applies,
     )
 
-
-def _small_dense_topk(op: LatticeOperator, m: int) -> Spectrum:
-    H = op.to_dense(dense_cap=op.n)
-    w, V = np.linalg.eigh(H)
-    resid = np.linalg.norm(H @ V[:, -m:] - V[:, -m:] * w[-m:], axis=0)
-    return Spectrum(values=w[-m:], method="dense", residuals=resid)

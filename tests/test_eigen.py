@@ -170,9 +170,9 @@ def test_capped_run_is_flagged_with_one_residual_per_value():
     assert np.all(np.diff(s.values) >= 0)
 
 
-@pytest.mark.parametrize("L, method", [(15, "dense"), (16, "lanczos")])
+@pytest.mark.parametrize("L, method", [(15, "bisection"), (16, "lanczos")])
 def test_topk_at_the_dense_threshold(L, method):
-    # at m = 8, boxes up to max(2m + 2, 32) = 32 sites are solved densely
+    # at m = 8, boxes up to max(2m + 2, 32) = 32 sites take the exact top m
     spec, pot = make_instance(1, L, seed=1)
     op = build_hamiltonian(spec, pot)
     s = extremal_topk(op, 8, solver_rng(1))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from speclab.cli import build_parser, overrides_from
 from speclab import harness
@@ -29,9 +30,11 @@ from speclab.harness import (
     run_experiment,
 )
 from speclab.lattice import BoxSpec
-from speclab.operators import DENSE_CAP_DEFAULT, sample_potential
-from speclab.stats import rescale
+from speclab.operators import DENSE_CAP_DEFAULT, build_hamiltonian, sample_potential
+from speclab.stats import count_in_intervals, rescale
 from speclab.tails import power_log, stretched_exp
+
+from eigen_oracle import dense_eigs
 
 INF_ = math.inf
 
@@ -304,16 +307,63 @@ def test_tailsum_run_and_csv_columns(tmp_path):
     assert summary["checks"]["gamma_increasing_along_ladder"]
 
 
-def test_undercount_warning_when_point_budget_saturates(tmp_path):
-    # m = 2 retained points but ~8 land above the lowest interval endpoint
+def _csv_rows(cfg, L):
+    lines = (Path(cfg.out_dir) / f"extremal_L{L}.csv").read_text().splitlines()
+    return [dict(zip(lines[0].split(","), r.split(","))) for r in lines[1:]]
+
+
+@pytest.mark.parametrize("d, L, solver, a", [
+    (1, 150, "lanczos", 0.25), (1, 150, "auto", 0.25), (2, 10, "lanczos", 0.25),
+    # so low a start that the solve grows until eigenvalues fall below the clamp
+    (1, 150, "lanczos", 0.001),
+])
+def test_counts_are_exact_when_more_points_than_top_m_reach_an_interval(
+        tmp_path, d, L, solver, a):
+    # top_m = 2, but more points than that land in [a, inf): the solve grows
     cfg = small_extremal_cfg(
-        tmp_path, trials=2, radii=(150,), top_m=2, source="H",
-        solver="lanczos", intervals=((0.25, INF_),),
+        tmp_path, dimension=d, trials=4, radii=(L,), top_m=2, source="H",
+        solver=solver, intervals=((a, INF_),),
     )
-    with pytest.warns(UserWarning, match="counts may be low"):
-        summary = run_experiment(cfg)
-    src = summary["per_L"]["150"]["sources"]["H"]
-    assert src.get("undercount_risk_trials", 0) >= 1
+    summary = run_experiment(cfg)
+    assert summary["exit_code"] == 0
+    counts = []
+    for row in _csv_rows(cfg, L):
+        spec = BoxSpec(d, L)
+        pot = sample_potential(spec, cfg.law, cfg.alpha,
+                               derive_stream(cfg.master_seed, int(row["trial"]), 0))
+        if d == 1:
+            eigs = scipy.linalg.eigvalsh_tridiagonal(pot.values, np.ones(spec.site_count - 1))
+        else:
+            eigs = dense_eigs(build_hamiltonian(spec, pot))
+        eigs = eigs[eigs > 0.0][::-1]
+        want = int(count_in_intervals(rescale(eigs, cfg.law, float(spec.site_count)),
+                                      cfg.intervals)[0])
+        assert int(row[f"count_{a:g}_inf"]) == want
+        # dropped and points still describe the top m alone
+        assert int(row["dropped"]) == rescale(eigs[:2], cfg.law, 1.0).dropped_below_threshold
+        assert len(row["points"].split(";")) == 2
+        counts.append(want)
+    assert max(counts) > cfg.top_m
+
+
+def test_exact_and_lanczos_paths_write_equal_dropped_and_counts(tmp_path):
+    def columns(solver):
+        cfg = small_extremal_cfg(tmp_path / solver, solver=solver)
+        run_experiment(cfg)
+        return [(r["trial"], r["source"], r["dropped"], r["count_1_2"], r["count_2_inf"])
+                for r in _csv_rows(cfg, 60)]
+
+    assert columns("auto") == columns("lanczos")
+
+
+@pytest.mark.parametrize("solver", ["auto", "lanczos"])
+def test_box_smaller_than_top_m_completes(tmp_path, solver):
+    # 3 sites against the default top_m of 8
+    cfg = small_extremal_cfg(tmp_path, radii=(1,), trials=3, source="H", solver=solver)
+    assert cfg.resolved_top_m() == 8
+    summary = run_experiment(cfg)
+    assert summary["exit_code"] == 0
+    assert len(_csv_rows(cfg, 1)) == 3
 
 
 def test_ids_run_small(tmp_path):
