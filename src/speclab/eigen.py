@@ -1,21 +1,20 @@
 """Eigenvalues of H: one exact entry point and an iterative extremal solver.
 
-`solver_path` is the one rule that picks how a Hamiltonian is solved, from
-its dimension, its site count, the configured solver and the dense cap:
-Lanczos, the d=1 tridiagonal path, or dense eigh. It also enforces each
-exact path's cap; the config check and every trial ask it and nothing else.
+`solver_path` is the one rule for how the top of a Hamiltonian's spectrum is
+solved: ARPACK's Lanczos under `solver = lanczos` or at d >= 2 above the
+dense cap, else the exact path of the dimension. It never raises, since a
+top slice is capped only by the site cap. Only full spectra, which only
+`ids` takes, have caps of their own, all stated by `check_full_spectrum_cap`.
 
 `full_spectrum(op, dense_cap, m=None)` is the only exact solve. At d >= 2 it
 materializes the operator and calls the LAPACK symmetric solver (Householder
-reduction to tridiagonal form, then implicit-shift QL/QR); for
-one-dimensional boxes the operator is already tridiagonal and the full
-spectrum comes straight from the tridiagonal QL driver in O(n^2). When only
-the m largest eigenvalues are needed, as in every extremal experiment, a
-one-dimensional box is instead solved by Sturm-sequence
-bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
-for those m indices alone, in O(n m log(1/eps)); its values agree with the
-QL driver's to rounding (sandwich's e1_h moved by at most 6e-15 relative on
-configs/sandwich.cfg, measured).
+reduction to tridiagonal form, then implicit-shift QL/QR). A d=1 operator is
+already tridiagonal: its full spectrum comes from the QL driver in O(n^2),
+and its m largest eigenvalues, as every extremal experiment asks, from
+Sturm-sequence bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer.
+Math. 9, 1967) for those m indices alone, in O(n m log(1/eps)), at any n.
+Bisection and QL agree to rounding (sandwich's e1_h moved by at most 6e-15
+relative on configs/sandwich.cfg, measured).
 The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
 (scipy's `eigsh`) for the m largest eigenvalues, with every residual
 re-verified against the operator.
@@ -41,7 +40,7 @@ class Spectrum:
     """Eigenvalues in ascending order, with residuals for iterative results.
 
     `method` names the path taken: one of `solver_path`'s names, or
-    "bisection" for the top slice of a d=1 box.
+    "tridiagonal" for the full spectrum of a d=1 box.
     """
 
     values: np.ndarray
@@ -57,21 +56,19 @@ class Spectrum:
 
 
 def solver_path(dimension: int, n: int, solver: str, dense_cap: int) -> str:
-    """The one rule for the path an n-site Hamiltonian is solved by.
-
-    Returns "lanczos" for solver "lanczos", and for "auto" above dense_cap.
-    Otherwise ("dense", or "auto" up to dense_cap) returns the exact path of
-    the dimension: "tridiagonal" in dimension 1 (QL for a full spectrum,
-    bisection for a top slice) and "dense" otherwise. Raises CapacityError
-    when n exceeds that exact path's cap, so a configuration can be
-    rejected before any operator is built.
-    """
-    if solver == "lanczos" or (solver == "auto" and n > dense_cap):
+    """The path of an n-site top slice: "lanczos" for solver "lanczos" and at
+    d >= 2 above dense_cap, else "bisection" at d = 1 and "dense" at d >= 2."""
+    if solver == "lanczos" or (dimension >= 2 and n > dense_cap):
         return "lanczos"
+    return "bisection" if dimension == 1 else "dense"
+
+
+def check_full_spectrum_cap(dimension: int, n: int, dense_cap: int) -> None:
+    """Raise CapacityError over a full spectrum's cap: TRIDIAG_CAP_DEFAULT
+    for QL's O(n^2) at d = 1, dense_cap for dense eigh at d >= 2."""
     path, cap = ("tridiagonal", TRIDIAG_CAP_DEFAULT) if dimension == 1 else ("dense", dense_cap)
     if n > cap:
         raise CapacityError(f"{n} sites exceeds {path} cap {cap}")
-    return path
 
 
 def full_spectrum(
@@ -79,25 +76,26 @@ def full_spectrum(
 ) -> Spectrum:
     """All eigenvalues, or with m the m largest (ascending), on the exact path.
 
-    `solver_path` picks the path and checks its cap. A d >= 2 operator is
-    materialized and solved by dense eigh; its top m are a slice of that
-    spectrum. A d=1 operator is tridiagonal: its full spectrum comes from
-    the QL driver, and its top m from Sturm-sequence bisection (LAPACK
-    stebz) for the indices n-m+1..n alone, to LAPACK's default absolute
-    tolerance eps*|T|; a LinAlgError is raised when stebz reports failure or
-    finds fewer than m.
+    A full spectrum is first checked against `check_full_spectrum_cap`; a
+    top slice is not capped here. A d >= 2 operator is materialized and
+    solved by dense eigh; its top m are a slice of that spectrum. A d=1
+    operator is tridiagonal: its full spectrum comes from the QL driver, and
+    its top m from Sturm-sequence bisection (LAPACK stebz) for the indices
+    n-m+1..n alone, to LAPACK's default absolute tolerance eps*|T|; a
+    LinAlgError is raised when stebz reports failure or finds fewer than m.
     """
     n = op.n
-    if m is not None and not 1 <= m <= n:
+    if m is None:
+        check_full_spectrum_cap(op.spec.dimension, n, dense_cap)
+    elif not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    path = solver_path(op.spec.dimension, n, "dense", dense_cap)
-    if path == "dense":
-        vals = scipy.linalg.eigh(op.to_dense(dense_cap), eigvals_only=True, driver="ev")
-        return Spectrum(values=vals if m is None else vals[-m:], method=path)
+    if op.spec.dimension >= 2:
+        vals = scipy.linalg.eigh(op.to_dense(n), eigvals_only=True, driver="ev")
+        return Spectrum(values=vals if m is None else vals[-m:], method="dense")
     off = np.ones(n - 1)
     if m is None:
         return Spectrum(values=scipy.linalg.eigvalsh_tridiagonal(op.diagonal, off),
-                        method=path)
+                        method="tridiagonal")
     # called directly: eigvalsh_tridiagonal's input checks cost as much as
     # the bisection itself on boxes of ~50 sites. Range 2 selects by 1-based
     # index; order "E" sorts ascending over the whole matrix
@@ -151,7 +149,7 @@ def extremal_topk(
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
     if n <= max(2 * m + 2, 32):
-        return full_spectrum(op, dense_cap=n, m=m)
+        return full_spectrum(op, m=m)
     applies = 0
 
     def matvec(u: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import functools
 import glob
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -36,6 +37,7 @@ from .eigen import (
     LANCZOS_MAX_ITER_DEFAULT,
     LANCZOS_TOL_DEFAULT,
     Spectrum,
+    check_full_spectrum_cap,
     extremal_topk,
     full_spectrum,
     solver_path,
@@ -155,7 +157,7 @@ class ExperimentConfig:
     x_grid: tuple[float, ...] = _key(_floats, (1.0,))
     source: str = _key(str, "both")  # V | H | both
     top_m: int = _key(int, 0)  # 0 -> max(8, ceil(4/x_min))
-    solver: str = _key(str, "auto")  # auto | lanczos | dense
+    solver: str = _key(str, "auto")  # auto | lanczos
     solver_tol: float = _key(float, LANCZOS_TOL_DEFAULT)
     solver_max_iter: int = _key(int, LANCZOS_MAX_ITER_DEFAULT)
     dense_cap: int = _key(int, DENSE_CAP_DEFAULT)
@@ -203,8 +205,8 @@ class ExperimentConfig:
             raise ConfigError(f"scaling_mode must be one of {SCALING_MODES}")
         if self.source not in ("V", "H", "both"):
             raise ConfigError("source must be V, H, or both")
-        if self.solver not in ("auto", "lanczos", "dense"):
-            raise ConfigError("solver must be auto, lanczos, or dense")
+        if self.solver not in ("auto", "lanczos"):
+            raise ConfigError("solver must be auto or lanczos")
         if not self.x_grid:
             raise ConfigError("x_grid must not be empty")
         if not all(0 < x < math.inf for x in self.x_grid):
@@ -216,30 +218,23 @@ class ExperimentConfig:
         for name in ("solver_tol", "calibration_x"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if (
-            self.experiment in ("extremal", "maxlaw")
-            and self.law.family == "stretched_exp"
-            and self.law.delta >= 1.0
-        ):
-            # delta = 1 has f'/f -> 1, not 0: the Poisson limit machinery
-            # does not apply; only the bracket experiment admits it
-            raise ConfigError("delta = 1 is allowed only in the sandwich experiment")
+        if (self.experiment in ("extremal", "maxlaw") and self.law.family == "stretched_exp"
+                and self.law.delta >= 1.0 and self.alpha != 0.0):
+            # without decay, delta = 1 extremes are still Poisson; with decay
+            # they are not, and only the sandwich bracket checks that side
+            raise ConfigError("delta = 1 with alpha != 0 is allowed only in the sandwich experiment")
         # interval, capacity, regime and calibration-bracket errors must
         # fail before any compute
         try:
             if self.intervals:
                 validate_intervals(self.intervals)
-            # the site cap of each box, and the exact path's cap wherever
-            # the run solves H (ids always takes the full spectrum)
-            solves_h = self.experiment in ("ids", "sandwich") or (
-                self.experiment in ("extremal", "maxlaw") and self.source != "V"
-            )
-            solver = "dense" if self.experiment == "ids" else self.solver
+            # the site cap of each box; only ids takes full spectra, which
+            # have caps of their own
             for L in self.radii:
                 box = self.box(L)
                 check_capacity(box)
-                if solves_h:
-                    solver_path(self.dimension, box.site_count, solver, self.dense_cap)
+                if self.experiment == "ids":
+                    check_full_spectrum_cap(self.dimension, box.site_count, self.dense_cap)
             # only the rescaling experiments consume a scaling mode; a
             # calibration whose tail sum can never reach 1/x fails here
             if self.experiment in ("extremal", "maxlaw", "tailsum"):
@@ -299,7 +294,7 @@ def _solve_h(cfg: ExperimentConfig, op, trial: int, m: int) -> Spectrum:
     if solver_path(cfg.dimension, op.n, cfg.solver, cfg.dense_cap) == "lanczos":
         rng = derive_stream(cfg.master_seed, trial, STREAM_SOLVER)
         return extremal_topk(op, m, rng, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
-    return full_spectrum(op, dense_cap=cfg.dense_cap, m=m)
+    return full_spectrum(op, m=m)
 
 
 def _extremal_trial(args):
@@ -443,11 +438,18 @@ def _pin_blas() -> dict[str, int]:
 
 
 def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
-    """Map trials over the pool, then fold in submission (trial) order."""
-    if cfg.workers <= 1 or len(payloads) <= 1:
+    """Map trials over the pool, then fold in submission (trial) order.
+
+    `workers` is an upper bound: the pool has at most one process per
+    payload and per usable core, and the map runs serially when that is one.
+    """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(cfg.workers, len(payloads), cores)
+    if workers <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_pin_blas) as pool:
-        return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * cfg.workers))))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
+        return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 import scipy.linalg
 
-from speclab.eigen import TRIDIAG_CAP_DEFAULT, extremal_topk, full_spectrum, solver_path
+from speclab.eigen import (
+    TRIDIAG_CAP_DEFAULT,
+    check_full_spectrum_cap,
+    extremal_topk,
+    full_spectrum,
+    solver_path,
+)
 from speclab.harness import STREAM_SOLVER, derive_stream
 from speclab.lattice import BoxSpec, CapacityError
 from speclab.operators import (
@@ -39,26 +45,34 @@ TRI = TRIDIAG_CAP_DEFAULT
 
 
 @pytest.mark.parametrize("d, n, solver, dense_cap, expected", [
-    # auto: the exact path up to dense_cap, Lanczos above it
-    (1, CAP, "auto", CAP, "tridiagonal"),
-    (1, CAP + 1, "auto", CAP, "lanczos"),
+    # auto: bisection at d=1 for any n, whatever dense_cap says
+    (1, CAP, "auto", CAP, "bisection"),
+    (1, CAP + 1, "auto", CAP, "bisection"),
+    (1, TRI + 1, "auto", TRI + 1, "bisection"),
+    # auto at d >= 2: a dense slice up to dense_cap, Lanczos above it
     (2, CAP, "auto", CAP, "dense"),
     (2, CAP + 1, "auto", CAP, "lanczos"),
-    (1, TRI + 1, "auto", TRI + 1, f"{TRI + 1} sites exceeds tridiagonal cap {TRI}"),
     # lanczos is taken at any size
     (1, 3, "lanczos", CAP, "lanczos"),
     (2, 3, "lanczos", CAP, "lanczos"),
-    # dense: the exact path up to its own cap
-    (1, TRI, "dense", CAP, "tridiagonal"),
-    (1, TRI + 1, "dense", CAP, f"{TRI + 1} sites exceeds tridiagonal cap {TRI}"),
-    (2, CAP + 1, "dense", CAP, f"{CAP + 1} sites exceeds dense cap {CAP}"),
 ])
 def test_solver_path_table(d, n, solver, dense_cap, expected):
-    if " cap " in expected:
-        with pytest.raises(CapacityError, match=f"^{expected}$"):
-            solver_path(d, n, solver, dense_cap)
+    assert solver_path(d, n, solver, dense_cap) == expected
+
+
+@pytest.mark.parametrize("d, n, dense_cap, error", [
+    # QL's cap at d=1, whatever dense_cap says
+    (1, TRI, 0, None),
+    (1, TRI + 1, TRI + 1, f"{TRI + 1} sites exceeds tridiagonal cap {TRI}"),
+    (2, CAP, CAP, None),
+    (2, CAP + 1, CAP, f"{CAP + 1} sites exceeds dense cap {CAP}"),
+])
+def test_full_spectrum_caps(d, n, dense_cap, error):
+    if error is None:
+        check_full_spectrum_cap(d, n, dense_cap)
     else:
-        assert solver_path(d, n, solver, dense_cap) == expected
+        with pytest.raises(CapacityError, match=f"^{error}$"):
+            check_full_spectrum_cap(d, n, dense_cap)
 
 
 # --- the exact solve ---------------------------------------------------------
@@ -244,12 +258,23 @@ def test_top_eigenvalues_validation_and_caps():
     for m in (0, 22):
         with pytest.raises(ValueError):
             full_spectrum(op, m=m)
+    # only a full spectrum is capped: a top slice bisects at any n
     spec1, pot1 = make_instance(1, TRIDIAG_CAP_DEFAULT // 2)
-    with pytest.raises(CapacityError, match=f"tridiagonal cap {TRIDIAG_CAP_DEFAULT}"):
-        full_spectrum(build_hamiltonian(spec1, pot1), m=1)
+    op1 = build_hamiltonian(spec1, pot1)
+    with pytest.raises(CapacityError,
+                       match=f"^{op1.n} sites exceeds tridiagonal cap {TRIDIAG_CAP_DEFAULT}$"):
+        full_spectrum(op1)
+    top = full_spectrum(op1, m=2)
+    assert top.method == "bisection" and top.values.shape == (2,)
+    # Weyl: the hopping moves E_1 off max V by at most 2
+    assert np.max(pot1.values) <= top.values[-1] <= np.max(pot1.values) + 2.0
+    # at d >= 2 dense_cap binds the full spectrum, not a slice of it
     spec2, pot2 = make_instance(2, 4)
-    with pytest.raises(CapacityError, match="dense cap 80"):
-        full_spectrum(build_hamiltonian(spec2, pot2), dense_cap=80, m=1)
+    op2 = build_hamiltonian(spec2, pot2)
+    with pytest.raises(CapacityError, match="^81 sites exceeds dense cap 80$"):
+        full_spectrum(op2, dense_cap=80)
+    np.testing.assert_array_equal(full_spectrum(op2, dense_cap=80, m=1).values,
+                                  full_spectrum(op2).values[-1:])
 
 
 @pytest.mark.parametrize("info, found", [(2, 1), (-3, 1), (0, 0)])

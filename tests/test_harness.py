@@ -163,27 +163,47 @@ def test_a_validated_config_is_not_checked_again(monkeypatch):
 
 
 def test_capacity_rejected_where_the_run_needs_the_full_spectrum():
-    d2 = "experiment = extremal\ndimension = 2\nradii = 40\nalpha = 0\nsolver = dense\n"
-    with pytest.raises(ConfigError, match="dense cap 4096"):
+    # ids takes full spectra: dense eigh up to dense_cap at d = 2, QL at d = 1
+    d2 = "experiment = ids\ndimension = 2\nradii = 40\nalpha = 0.5\n"
+    with pytest.raises(ConfigError, match="^6561 sites exceeds dense cap 4096$"):
         parse_config_text(d2)
-    with pytest.raises(ConfigError, match="dense cap 4096"):
-        parse_config_text(d2.replace("extremal", "sandwich") + "x_grid = 6\n")
-    # the potential alone, or Lanczos above dense_cap, needs no dense matrix
-    parse_config_text(d2 + "source = V\n")
-    parse_config_text(d2.replace("dense", "auto"))
     parse_config_text(d2 + "dense_cap = 6561\n")
     d1 = "experiment = ids\nradii = 100000\nalpha = 0.5\n"
-    with pytest.raises(ConfigError, match="tridiagonal cap"):
+    with pytest.raises(ConfigError, match="^200001 sites exceeds tridiagonal cap 200000$"):
         parse_config_text(d1)
     parse_config_text(d1.replace("100000", "99999"))
+    # a top slice has only the site cap: over dense_cap a d = 2 run goes to
+    # Lanczos, and a d = 1 run bisects at any size
+    extremal = "experiment = extremal\ndimension = 2\nradii = 40\nalpha = 0\n"
+    parse_config_text(extremal)
+    parse_config_text(extremal.replace("extremal", "sandwich") + "x_grid = 6\n")
+    parse_config_text("experiment = maxlaw\nradii = 100000\nsource = H\n")
+    with pytest.raises(ConfigError, match="^solver must be auto or lanczos$"):
+        parse_config_text(extremal + "solver = dense\n")
 
 
 def test_boundary_delta_rejected_outside_sandwich():
-    text = "experiment = maxlaw\nfamily = stretched_exp\ndelta = 1\nalpha = 0\nradii = 50\n"
-    with pytest.raises(ConfigError):
-        parse_config_text(text)
-    # the sandwich experiment accepts it
+    text = ("experiment = maxlaw\nfamily = stretched_exp\ndelta = 1\nradii = 50\n"
+            "alpha = 0.5\nscaling_mode = calibrated\n")
+    # with decay, delta = 1 extremes are not Poisson: only the sandwich
+    # bracket admits it
+    for experiment in ("maxlaw", "extremal"):
+        with pytest.raises(ConfigError, match="delta = 1 with alpha != 0"):
+            parse_config_text(text.replace("maxlaw", experiment))
     parse_config_text(text.replace("maxlaw", "sandwich") + "x_grid = 6\n")
+    # without decay they are Poisson, and both rescaling experiments run it
+    no_decay = text.replace("alpha = 0.5\nscaling_mode = calibrated\n", "alpha = 0\n")
+    for experiment in ("maxlaw", "extremal"):
+        assert parse_config_text(no_decay.replace("maxlaw", experiment)).law.delta == 1.0
+
+
+def test_boundary_delta_without_decay_runs_to_completion(tmp_path):
+    # the statistics of so small a run are not asserted, only that it runs
+    out = tmp_path / "border"
+    code = cli_main(["extremal", "--family", "stretched_exp", "--delta", "1", "--L", "60",
+                     "--trials", "4", "--intervals", "1:2,2:inf", "--out", str(out)])
+    assert code == 0
+    assert len((out / "extremal_L60.csv").read_text().splitlines()) == 1 + 2 * 4
 
 
 def test_norm_kind_defaults():
@@ -258,6 +278,16 @@ def test_worker_count_independence(tmp_path, solver):
     b1 = (Path(cfg1.out_dir) / "extremal_L60.csv").read_bytes()
     b3 = (Path(cfg3.out_dir) / "extremal_L60.csv").read_bytes()
     assert b1 == b3
+
+
+def test_d1_auto_output_does_not_depend_on_dense_cap(tmp_path):
+    # d = 1 bisects at any size: dense_cap binds only d >= 2
+    def csv(dense_cap):
+        cfg = small_extremal_cfg(tmp_path / str(dense_cap), trials=4, dense_cap=dense_cap)
+        run_experiment(cfg)
+        return (Path(cfg.out_dir) / "extremal_L60.csv").read_bytes()
+
+    assert csv(0) == csv(120) == csv(DENSE_CAP_DEFAULT)
 
 
 def test_sandwich_worker_count_independence(tmp_path):
@@ -484,10 +514,20 @@ def test_serial_run_pins_every_bundled_openblas(tmp_path):
     assert "blas_threads" not in summary
 
 
+def usable_cores(monkeypatch, cores: int | None) -> None:
+    """Make `_map_trials` see `cores` usable cores; None hides the affinity
+    mask, so that it falls back on os.cpu_count()."""
+    if cores is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
 @needs_openblas
-def test_pool_workers_pin_their_own_blas(tmp_path):
+def test_pool_workers_pin_their_own_blas(tmp_path, monkeypatch):
     # the host runs 2 threads here, so a worker that merely inherited the
-    # host's setting would read 2
+    # host's setting would read 2; two usable cores keep a real pool on any host
+    usable_cores(monkeypatch, 2)
     set_blas_threads(2)
     try:
         cfg = small_extremal_cfg(tmp_path, workers=2)
@@ -506,9 +546,10 @@ def _os_threads_probe(_payload):
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir()
                     or multiprocessing.get_start_method() != "fork",
                     reason="counts a forked worker's threads through /proc")
-def test_forked_workers_of_a_pinned_host_start_no_blas_threads(tmp_path):
+def test_forked_workers_of_a_pinned_host_start_no_blas_threads(tmp_path, monkeypatch):
     # OpenBLAS's setter restarts the pool a fork shut down, and its threads
     # spin before they sleep; a worker that inherited the pin must not call it
+    usable_cores(monkeypatch, 2)
     harness._pin_blas()
     cfg = small_extremal_cfg(tmp_path, workers=2)
     assert harness._map_trials(cfg, _os_threads_probe, list(range(4))) == [1] * 4
@@ -520,6 +561,44 @@ def test_run_completes_without_a_bundled_openblas(tmp_path, monkeypatch):
     assert run_experiment(cfg)["exit_code"] == 0
     manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
     assert manifest["blas_threads"] == {}
+
+
+# --- pool size -------------------------------------------------------------------
+
+@pytest.mark.parametrize("workers, payloads, cores, pool", [
+    (100_000, 100_000, 2, 2),  # bounded by the usable cores
+    (100_000, 3, 8, 3),  # by the payloads
+    (2, 100, 8, 2),  # by workers
+    (8, 100, 1, None),  # one usable core: serial
+    (8, 1, 8, None),  # one payload: serial
+    (8, 100, None, 3),  # no affinity mask: bounded by os.cpu_count()
+])
+def test_pool_starts_at_most_one_process_per_payload_and_core(
+        tmp_path, monkeypatch, workers, payloads, cores, pool):
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers, initializer=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    usable_cores(monkeypatch, cores)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cfg = small_extremal_cfg(tmp_path, workers=workers)
+    items = list(range(payloads))
+    assert harness._map_trials(cfg, str, items) == [str(i) for i in items]
+    assert sizes == ([] if pool is None else [pool])
 
 
 # --- the hooks the perfbench tracer patches -------------------------------------
@@ -675,6 +754,7 @@ def test_cli_usage_error_exit_1(tmp_path):
     ["--solver-max-iter", "0"],
     ["--top-m", "-3"],
     ["--dense-cap", "-1"],
+    ["--solver", "dense"],
     ["--assert", "ture"],
 ], ids=lambda flags: "_".join(flags))
 def test_cli_rejects_bad_values_before_compute(tmp_path, capsys, flags):
