@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+import scipy  # scipy.linalg and scipy.sparse.linalg load on first use
 
 from .lattice import CapacityError
 from .operators import DENSE_CAP_DEFAULT, LatticeOperator

@@ -448,6 +448,8 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     workers = min(cfg.workers, len(payloads), cores)
     if workers <= 1:
         return [worker(p) for p in payloads]
+    # load the trials' solver stack once here, so forked workers inherit it
+    import scipy.linalg, scipy.sparse.linalg, scipy.special  # noqa: E401,F401
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
         return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.special import lambertw
+import scipy  # scipy.special loads on first use, not at import
 
 from .lattice import BoxSpec, walk_box
 from .tails import DomainError, TailLaw, f_inv, tail_prob
@@ -93,7 +93,7 @@ def h_inv(k: int, y: float) -> float:
     if k == 0:
         return y
     log_y = math.log(y)
-    s = k * float(lambertw(math.exp(log_y / k) / k).real)
+    s = k * float(scipy.special.lambertw(math.exp(log_y / k) / k).real)
     for _ in range(2):
         s -= (s + k * math.log(s) - log_y) / (1.0 + k / s)
     return math.exp(s)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+import scipy  # scipy.stats loads on first use, not at import
 
 from .lattice import BoxSpec, check_capacity, walk_box
 from .tails import DomainError, TailLaw, f_eval, tail_prob

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import lambertw
+import scipy  # scipy.special loads on first use, not at import
 
 FAMILIES = ("power_log", "stretched_exp")
 
@@ -128,7 +128,7 @@ def _log_f_root(p: float, k: int, log_y, s_min: float):
     """
     r = k / p
     z = np.maximum(-(p / k) * np.exp(-log_y / k), _W_BRANCH)
-    s = -r * lambertw(z, -1).real
+    s = -r * scipy.special.lambertw(z, -1).real
     gap = np.maximum(log_y - k * (1.0 - math.log(r)), 0.0)
     s = np.maximum(np.maximum(s, r * (1.0 + np.sqrt(2.0 * gap / k))), s_min)
     with np.errstate(divide="ignore", invalid="ignore"):
