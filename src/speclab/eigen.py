@@ -3,8 +3,9 @@
 `solver_path` is the one rule for how the top of a Hamiltonian's spectrum is
 solved: ARPACK's Lanczos under `solver = lanczos` or at d >= 2 above the
 dense cap, else the exact path of the dimension. It never raises, since a
-top slice is capped only by the site cap. Only full spectra, which only
-`ids` takes, have caps of their own, all stated by `check_full_spectrum_cap`.
+top slice is capped only by the site cap. Only full spectra, which `ids`
+takes at d >= 2, have caps of their own, all stated by
+`check_full_spectrum_cap`.
 
 `full_spectrum(op, dense_cap, m=None)` is the only exact solve. At d >= 2 it
 materializes the operator and calls the LAPACK symmetric solver (Householder
@@ -18,6 +19,11 @@ relative on configs/sandwich.cfg, measured).
 The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
 (scipy's `eigsh`) for the m largest eigenvalues, with every residual
 re-verified against the operator.
+
+`count_le(op, x)` counts a d=1 operator's eigenvalues at or below each point
+of x by the same Sturm sequence, in O(n) per point and without solving: `ids`
+reads its distances from these counts at d=1, so it takes no full spectrum
+there.
 """
 from __future__ import annotations
 
@@ -30,6 +36,12 @@ from .lattice import CapacityError
 from .operators import DENSE_CAP_DEFAULT, LatticeOperator
 
 TRIDIAG_CAP_DEFAULT = 200_000
+# LAPACK's pivmin for unit off-diagonals (dstebz: safe minimum * max(1, e^2))
+PIVMIN = np.finfo(np.float64).tiny
+# sites per block of count_le, and the cap on a block's pivots, which bounds
+# its memory at 512 KiB a buffer for any number of points
+STURM_BLOCK_SITES = 64
+STURM_BLOCK_VALUES = 1 << 16
 LANCZOS_TOL_DEFAULT = 1e-10
 LANCZOS_MAX_ITER_DEFAULT = 2000
 
@@ -104,6 +116,49 @@ def full_spectrum(
         raise np.linalg.LinAlgError(
             f"stebz found {found} of the top {m} eigenvalues (info {info})")
     return Spectrum(values=vals[found - m:found], method="bisection")
+
+
+def count_le(op: LatticeOperator, x) -> np.ndarray:
+    """#{eigenvalues <= x} of a d=1 operator, at every point of the 1-D array x.
+
+    Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): the number
+    of negative pivots q_i of H - x = L D L^T, where q_1 = V_1 - x and
+    q_i = (V_i - x) - 1/q_{i-1} for the unit hopping. A pivot with
+    |q| < PIVMIN is replaced by -PIVMIN, LAPACK's convention (dlaebz), so an
+    x equal to an eigenvalue is counted. The sites are looped in Python and
+    the points vectorized, a block of sites at a time, in buffers of
+    O(x.size) bounded by STURM_BLOCK_VALUES: no n x points array is formed.
+    As LAPACK's dlaneg does, a block first runs without the pivot check and
+    is run again with it only when one of its pivots came out tiny.
+    """
+    if op.spec.dimension != 1:
+        raise ValueError("count_le counts a d = 1 operator")
+    x = np.asarray(x, dtype=np.float64)
+    diag, n, p = op.diagonal, op.n, x.size
+    rows = max(1, min(STURM_BLOCK_SITES, STURM_BLOCK_VALUES // max(p, 1)))
+    shifted = np.empty((rows, p))  # V_i - x for the block's sites
+    pivots = np.empty((rows, p))
+    recip = np.zeros(p)  # 1/q of the previous pivot; 0 before the first site
+    counts = np.zeros(p, dtype=np.int64)
+    for start in range(0, n, rows):
+        b = min(rows, n - start)
+        shift, piv = shifted[:b], pivots[:b]
+        np.subtract(diag[start:start + b, None], x, out=shift)
+        carried = recip.copy()
+        for checked in (False, True):
+            np.copyto(recip, carried)
+            # unchecked, a zero pivot divides to an infinity: no NaN follows,
+            # and the block is run again
+            with np.errstate(divide="ignore", over="ignore"):
+                for r in range(b):
+                    np.subtract(shift[r], recip, out=piv[r])
+                    if checked:
+                        np.copyto(piv[r], -PIVMIN, where=np.abs(piv[r]) < PIVMIN)
+                    np.divide(1.0, piv[r], out=recip)
+            if checked or np.abs(piv).min(initial=np.inf) >= PIVMIN:
+                break
+        counts += np.count_nonzero(piv < 0.0, axis=0)
+    return counts
 
 
 def extremal_topk(

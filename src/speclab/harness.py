@@ -38,6 +38,7 @@ from .eigen import (
     LANCZOS_TOL_DEFAULT,
     Spectrum,
     check_full_spectrum_cap,
+    count_le,
     extremal_topk,
     full_spectrum,
     solver_path,
@@ -51,6 +52,7 @@ from .scaling import (
     tail_sum_stats,
 )
 from .stats import (
+    SpectrumCounts,
     count_in_intervals,
     exact_max_cdf_ladder,
     fit_lower_envelope_constant,
@@ -60,6 +62,7 @@ from .stats import (
     poisson_gof,
     poisson_joint_gof,
     rescale,
+    sorted_counter,
     validate_intervals,
 )
 from .tails import TailLaw
@@ -228,8 +231,10 @@ class ExperimentConfig:
         try:
             if self.intervals:
                 validate_intervals(self.intervals)
-            # the site cap of each box; only ids takes full spectra, which
-            # have caps of their own
+            # the site cap of each box; ids keeps the full-spectrum caps:
+            # dense eigh's at d >= 2, and at d = 1 the tridiagonal cap, which
+            # still bounds the box though its trials count by Sturm sequences
+            # and take no spectrum
             for L in self.radii:
                 box = self.box(L)
                 check_capacity(box)
@@ -361,17 +366,23 @@ def _ids_trial(args):
     rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
     potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
     op = build_hamiltonian(spec, potential)
-    eigs = full_spectrum(op, dense_cap=cfg.dense_cap).values
+    # every column is a function of N(x) = #{eigenvalues <= x}: Sturm counts
+    # at d = 1, binary search in the dense spectrum at d >= 2
+    if cfg.dimension == 1:
+        spectrum = SpectrumCounts(functools.partial(count_le, op), op.n)
+    else:
+        spectrum = SpectrumCounts(
+            sorted_counter(full_spectrum(op, dense_cap=cfg.dense_cap).values), op.n)
     free = free_laplacian_eigs(cfg.dimension, L)
     band = 2.0 * cfg.dimension
-    bulk = eigs[(eigs >= -band) & (eigs <= band)]
+    bulk = spectrum.window(-band, band)
     return {
         "trial": trial,
         "L": L,
         "ks_bulk": ks_distance(bulk, free),
         "levy_bulk": levy_distance(bulk, free),
-        "ks_full": ks_distance(eigs, free),
-        "n_outside_band": int(eigs.size - bulk.size),
+        "ks_full": ks_distance(spectrum, free),
+        "n_outside_band": spectrum.size - bulk.size,
         "wall": time.perf_counter() - t0,
     }
 

@@ -15,6 +15,7 @@ combined pairwise in a fixed order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -167,12 +168,15 @@ def _checked_floor(law: TailLaw, weights: Iterable[np.ndarray], target_x: float)
     return lo
 
 
+@functools.lru_cache(maxsize=64)
 def calibration_floor(spec: BoxSpec, law: TailLaw, alpha: float, target_x: float) -> float:
     """Least gamma the calibration searches from, just above f(clamp)/target_x.
 
     The tail sum decreases in gamma, so when it is already below 1/target_x
     there, no gamma reaches the target: raises DomainError. Costs one exact
-    tail sum, cheap enough to run when a config is validated.
+    tail sum, cheap enough to run when a config is validated; it is
+    remembered per (box, law, alpha, x), so the calibration of a validated
+    box does not walk it again for its floor.
     """
     return _checked_floor(law, (w for _, w in walk_box(spec, alpha)), target_x)
 
@@ -189,9 +193,9 @@ def gamma_calibrated(
     if alpha == 0.0:
         return gamma_flat(spec)
     target = 1.0 / target_x
+    lo = calibration_floor(spec, law, alpha, target_x)
     # the bisection walks the box once and sums over the held chunks
     weights = [w for _, w in walk_box(spec, alpha)]
-    lo = _checked_floor(law, weights, target_x)
 
     def sum_at(gamma: float) -> float:
         return _tail_sums(law, weights, gamma, target_x)[0]

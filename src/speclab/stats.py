@@ -1,5 +1,9 @@
 """Statistics on spectra: distances, rescaled extremes, and count tests.
 
+The KS and Levy distances between a spectrum and a free sample read the
+spectrum only through its counting function N(x) = #{lambda <= x}
+(`SpectrumCounts`), counted where it decides them.
+
 Rescaled extremes f(E_j)/Gamma form, in the large-box limit, a Poisson point
 process with intensity nu[x, inf) = 1/x on (0, inf). Consequences tested
 here: interval counts are Poisson with mean 1/a - 1/b on [a, b), and the
@@ -10,8 +14,10 @@ evaluated in log space; it brackets the full operator's maximum through the
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy  # scipy.stats loads on first use, not at import
@@ -76,51 +82,228 @@ def rescale(eigs_desc: np.ndarray, law: TailLaw, gamma: float) -> RescaledPointS
     )
 
 
-def ks_distance(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
-    """Exact two-sample Kolmogorov-Smirnov statistic by merge scan."""
-    a = np.sort(np.asarray(sample_a, dtype=np.float64))
-    b = np.sort(np.asarray(sample_b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("samples must be nonempty")
-    pts = np.concatenate([a, b])
-    fa = np.searchsorted(a, pts, side="right") / a.size
-    fb = np.searchsorted(b, pts, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
+# points per counting pass: the first pass of a KS distance counts this many
+# of its decisive points, each later pass at most this many still open, and
+# Levy's bisection looks ahead while its undecided points fit in one pass
+COUNT_BATCH = 512
+LEVY_LOOKAHEAD = 6  # bisection levels one Levy pass may decide at most
+_SIGN = np.int64(np.iinfo(np.int64).min)
 
 
-def levy_distance(sample_a: np.ndarray, sample_b: np.ndarray, tol: float = 1e-6) -> float:
-    """Levy metric between the two empirical CDFs, by bisection on epsilon.
+def sorted_counter(values) -> Callable[[np.ndarray], np.ndarray]:
+    """N(x) = #{v <= x} over a sample, at an array of points, by binary search."""
+    return functools.partial(np.searchsorted, np.sort(np.asarray(values, dtype=np.float64)),
+                             side="right")
 
-    Feasibility of a given epsilon is decided exactly from the step
-    structure: it suffices to check the defining inequalities at the jump
-    points of each CDF. The result is an upper bound within `tol` of the
-    true value and never exceeds the KS distance.
+
+class SpectrumCounts:
+    """N(x) = #{lambda <= x} of a spectrum of `size` values, seen only through
+    `count` (an array of points -> N at each, in one pass over the operator).
+
+    Every count made is kept: a call counts only the points not known yet,
+    in at most one call of `count`, and `bracket` bounds N anywhere between
+    the nearest known points, N being nondecreasing. `window` gives the
+    counts of the values in a closed interval alone, from the same memory.
     """
-    a = np.sort(np.asarray(sample_a, dtype=np.float64))
-    b = np.sort(np.asarray(sample_b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
+
+    def __init__(self, count: Callable[[np.ndarray], np.ndarray], size: int):
+        self._count = count
+        self._x = np.array([-np.inf, np.inf])
+        self._n = np.array([0, size], dtype=np.int64)
+        self.size = size
+
+    def bracket(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on N at each point; equal where N is known."""
+        i = np.searchsorted(self._x, x, side="right")
+        lo = self._n[i - 1]
+        hi = np.where(self._x[i - 1] == x, lo, self._n[np.minimum(i, self._x.size - 1)])
+        return lo, hi
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        lo, hi = self.bracket(x)
+        new = np.unique(x[lo != hi])
+        if new.size == 0:
+            return lo
+        xs = np.concatenate([self._x, new])
+        order = np.argsort(xs, kind="stable")
+        self._x = xs[order]
+        self._n = np.concatenate([self._n, self._count(new)])[order]
+        return self.bracket(x)[0]
+
+    def window(self, lo: float, hi: float) -> "WindowCounts":
+        return WindowCounts(self, lo, hi)
+
+
+class WindowCounts:
+    """The values of a spectrum in [lo, hi]: N_w(x) = N(min(x, hi)) - #{lambda < lo}
+    for x >= lo. Its two edges are counted with its first request."""
+
+    def __init__(self, whole: SpectrumCounts, lo: float, hi: float):
+        self._whole = whole
+        self._edges = np.array([np.nextafter(lo, -np.inf), hi])
+
+    @property
+    def size(self) -> int:
+        below, top = self._whole(self._edges)
+        return int(top - below)
+
+    def bracket(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        below, top = self._whole(self._edges)
+        return tuple(np.clip(c - below, 0, top - below) for c in self._whole.bracket(x))
+
+    def __call__(self, x) -> np.ndarray:
+        c = self._whole(np.concatenate([np.asarray(x, dtype=np.float64), self._edges]))
+        below, top = c[-2:]
+        return np.clip(c[:-2] - below, 0, top - below)
+
+
+def _ordered(y: np.ndarray) -> np.ndarray:
+    """Integers in the order of the floats y (both zeros map to 0)."""
+    i = y.view(np.int64)
+    return np.where(i < 0, -(i ^ _SIGN), i)
+
+
+def _unordered(k: np.ndarray) -> np.ndarray:
+    """The floats of `_ordered` integers."""
+    return np.where(k < 0, (-k) ^ _SIGN, k).view(np.float64)
+
+
+def _last_below(t: np.ndarray, eps: float) -> np.ndarray:
+    """The largest float y with fl(y + eps) < t, at each t.
+
+    A sample point a has fl(a + eps) < t exactly when a <= y, so the count
+    at y is the number of points that eps shifts below t. fl(t - eps) is
+    within an ulp or two of y, except where y is far smaller than eps; there
+    y is found by bisection over the floats between two bounds.
+    """
+    y = t - eps
+    for _ in range(2):
+        over = y + eps >= t
+        y[over] = np.nextafter(y[over], -np.inf)
+        up = np.nextafter(y, np.inf)
+        under = up + eps < t
+        y[under] = up[under]
+    bad = np.flatnonzero((y + eps >= t) | (np.nextafter(y, np.inf) + eps < t))
+    if bad.size:
+        tb = t[bad]
+        span = 4.0 * np.spacing(np.maximum(np.abs(tb), eps))
+        lo, hi = _ordered(tb - eps - span), _ordered(tb - eps + span)
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            ok = _unordered(mid) + eps < tb
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        y[bad] = _unordered(lo)
+    return y
+
+
+def _free_steps(free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct free values u, and #{free <= u} and #{free < u} at each."""
+    u, mult = np.unique(np.asarray(free, dtype=np.float64), return_counts=True)
+    if u.size == 0:
         raise ValueError("samples must be nonempty")
+    upto = np.cumsum(mult)
+    return u, upto, upto - mult
 
-    def feasible(eps: float) -> bool:
-        # F_b(x) <= F_a(x + eps) + eps at jumps x of F_b, and symmetrically.
-        fb_at_b = np.arange(1, b.size + 1) / b.size
-        fa_shift = np.searchsorted(a, b + eps, side="right") / a.size
-        if np.any(fb_at_b > fa_shift + eps + 1e-15):
-            return False
-        fa_at_a = np.arange(1, a.size + 1) / a.size
-        fb_shift = np.searchsorted(b, a + eps, side="right") / b.size
-        return not np.any(fa_at_a > fb_shift + eps + 1e-15)
 
-    hi = ks_distance(a, b)
-    if feasible(0.0):
+def ks_distance(counts, free) -> float:
+    """Exact two-sample Kolmogorov-Smirnov statistic between a spectrum, given
+    by its `counts` (a SpectrumCounts or a window of one), and a free sample.
+
+    The free CDF is constant between its distinct values u and N is
+    nondecreasing, so the sup of |N/n_a - F_free| is attained at some u
+    (against #{free <= u}) or just below one (N at the float below u,
+    against #{free < u}); the value is the float c/n_a - k/n_f that the
+    merge scan over both samples forms. Branch and bound: a first pass counts
+    an even grid of these points, and each later pass counts only points
+    whose bracket could still beat the best exact value.
+    """
+    u, upto, below = _free_steps(free)
+    nb = upto[-1]
+    pts = np.empty(2 * u.size)
+    pts[0::2], pts[1::2] = np.nextafter(u, -np.inf), u
+    fb = np.empty(pts.size)
+    fb[0::2], fb[1::2] = below / nb, upto / nb
+    grid = np.linspace(0, pts.size - 1, min(COUNT_BATCH, pts.size)).astype(np.int64)
+    counts(pts[grid])
+    na = counts.size
+    if na == 0:
+        raise ValueError("samples must be nonempty")
+    while True:
+        lo, hi = counts.bracket(pts)
+        known = lo == hi
+        best = np.max(np.abs(lo[known] / na - fb[known]))
+        bound = np.maximum(hi / na - fb, fb - lo / na)
+        open_ = np.flatnonzero(~known & (bound > best))
+        if open_.size == 0:
+            return float(best)
+        counts(pts[open_[::-(-open_.size // COUNT_BATCH)]])
+
+
+def levy_distance(counts, free, tol: float = 1e-6) -> float:
+    """Levy metric between a spectrum's CDF, given by its `counts`, and a free
+    sample's, by bisection on epsilon from the KS distance down to `tol`.
+
+    Feasibility of an epsilon is decided exactly from the step structure:
+    F_b(b) <= F_a(b + eps) + eps at each distinct free value b, and
+    F_a(a) <= F_b(a + eps) + eps at the largest point a of the spectrum
+    whose shift lands below each free value u, which is N at `_last_below(u,
+    eps)` against #{free < u}. Each inequality is read from the bracket of
+    its count where that decides it, and the undecided ones are counted, with
+    those of the next bisection levels, in one pass. A constraint met at the
+    lower end of the bracket stays met above it and is dropped. The result
+    is an upper bound within `tol` of the true value and never exceeds the
+    KS distance.
+    """
+    hi = ks_distance(counts, free)
+    u, upto, below = _free_steps(free)
+    na, nb = counts.size, upto[-1]
+    fb_at, fb_below = upto / nb, below / nb
+    slack = 1e-15
+
+    def check(eps: float, c1: np.ndarray, c2: np.ndarray):
+        # -> (surely infeasible, met at c1, met at c2, points still to count)
+        x1, y2 = u[c1] + eps, _last_below(u[c2], eps)
+        lo1, hi1 = counts.bracket(x1)
+        lo2, hi2 = counts.bracket(y2)
+        need2 = fb_below[c2] + eps + slack
+        violated = bool(np.any(fb_at[c1] > hi1 / na + eps + slack) or np.any(lo2 / na > need2))
+        met1 = fb_at[c1] <= lo1 / na + eps + slack
+        met2 = hi2 / na <= need2
+        return violated, met1, met2, np.concatenate([x1[~met1], y2[~met2]])
+
+    def feasible(eps: float, lo: float, hi: float, c1: np.ndarray, c2: np.ndarray):
+        violated, met1, met2, pending = check(eps, c1, c2)
+        if not violated and pending.size:
+            # count this level's open points with those of the bisection
+            # levels below it, while they fit in one pass
+            batch, spans = [pending], [(lo, eps), (eps, hi)]
+            for _ in range(LEVY_LOOKAHEAD - 1):
+                spans = [(a, b) for a, b in spans if b - a > tol]
+                mids = [0.5 * (a + b) for a, b in spans]
+                more = [check(m, c1, c2)[3] for m in mids]
+                if not mids or sum(p.size for p in batch + more) > COUNT_BATCH:
+                    break
+                batch += more
+                spans = [s for (a, b), m in zip(spans, mids) for s in ((a, m), (m, b))]
+            counts(np.concatenate(batch))
+            violated, met1, met2, _ = check(eps, c1, c2)
+        return not violated, met1, met2
+
+    c1, c2 = np.arange(u.size), np.arange(u.size)
+    ok, met1, met2 = feasible(0.0, 0.0, hi, c1, c2)
+    if ok:
         return 0.0
     lo = 0.0
+    c1, c2 = c1[~met1], c2[~met2]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        ok, met1, met2 = feasible(mid, lo, hi, c1, c2)
+        if ok:
             hi = mid
         else:
             lo = mid
+            c1, c2 = c1[~met1], c2[~met2]
     return hi
 
 

@@ -7,6 +7,7 @@ import scipy.linalg
 from speclab.eigen import (
     TRIDIAG_CAP_DEFAULT,
     check_full_spectrum_cap,
+    count_le,
     extremal_topk,
     full_spectrum,
     solver_path,
@@ -236,6 +237,43 @@ def test_top_eigenvalues_match_the_tridiagonal_spectrum(L, free, p, alpha, seed,
     assert s.values.shape == (m,)
     full = full_spectrum(op).values[-m:]
     assert np.max(np.abs(s.values - full)) <= 1e-12 * op.norm_bound()
+
+
+# --- eigenvalue counts -----------------------------------------------------------
+
+@PROPERTY_SETTINGS
+@given(
+    L=st.integers(1, 200),
+    p=st.floats(1.0, 4.0),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+    points=st.integers(1, 3000),
+)
+def test_count_le_matches_the_tridiagonal_spectrum(L, p, alpha, seed, points):
+    # up to 3000 points: blocks of fewer sites than STURM_BLOCK_SITES too
+    spec, pot = make_instance(1, L, alpha=alpha, law=power_log(p, 0), seed=seed)
+    op = build_hamiltonian(spec, pot)
+    vals = scipy.linalg.eigvalsh_tridiagonal(op.diagonal, np.ones(op.n - 1))
+    rng = np.random.default_rng(seed)
+    near = rng.choice(vals, points) + rng.choice([-1e-7, 1e-7], points) * op.norm_bound()
+    x = np.concatenate([rng.uniform(-3.0, 3.0, points), near,
+                        rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, points)])
+    np.testing.assert_array_equal(count_le(op, x), np.searchsorted(vals, x, side="right"))
+
+
+@pytest.mark.parametrize("L", [1, 2, 40, 150])
+def test_count_le_counts_an_eigenvalue_at_the_point(L):
+    # the free chain of odd n = 2L + 1 has the eigenvalue 0, where every
+    # other pivot is exactly zero; LAPACK's -pivmin replacement counts it
+    op = free_operator(BoxSpec(1, L))
+    np.testing.assert_array_equal(count_le(op, np.array([-3.0, 0.0, 3.0])),
+                                  [0, L + 1, op.n])
+
+
+def test_count_le_counts_d1_alone():
+    spec, pot = make_instance(2, 3)
+    with pytest.raises(ValueError, match="d = 1"):
+        count_le(build_hamiltonian(spec, pot), np.array([0.0]))
 
 
 def test_top_eigenvalues_paths():

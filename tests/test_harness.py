@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 from speclab.cli import build_parser, overrides_from
-from speclab import harness
+from speclab import harness, scaling
 from speclab.cli import main as cli_main
 from speclab.harness import (
     EXIT_ASSERT,
@@ -30,10 +30,16 @@ from speclab.harness import (
     run_experiment,
 )
 from speclab.lattice import BoxSpec
-from speclab.operators import DENSE_CAP_DEFAULT, build_hamiltonian, sample_potential
+from speclab.operators import (
+    DENSE_CAP_DEFAULT,
+    build_hamiltonian,
+    free_laplacian_eigs,
+    sample_potential,
+)
 from speclab.stats import count_in_intervals, rescale
 from speclab.tails import power_log, stretched_exp
 
+import stats_oracle
 from eigen_oracle import dense_eigs
 
 INF_ = math.inf
@@ -162,8 +168,24 @@ def test_a_validated_config_is_not_checked_again(monkeypatch):
     assert len(calls) == 3
 
 
+def test_a_calibrated_run_walks_each_box_once_for_its_floor(tmp_path, monkeypatch):
+    # validate() computes each radius's floor; the calibration reuses it
+    scaling.calibration_floor.cache_clear()
+    calls = []
+    floor = scaling._checked_floor
+    monkeypatch.setattr(scaling, "_checked_floor",
+                        lambda *args: calls.append(args) or floor(*args))
+    text = (Path(__file__).resolve().parent.parent / "configs" / "tailsum.cfg").read_text()
+    cfg = parse_config_text(text, {"radii": "30,50", "out": str(tmp_path / "tailsum")})
+    assert len(calls) == 2
+    assert run_experiment(cfg)["exit_code"] == 0
+    assert len(calls) == 2
+
+
 def test_capacity_rejected_where_the_run_needs_the_full_spectrum():
-    # ids takes full spectra: dense eigh up to dense_cap at d = 2, QL at d = 1
+    # ids keeps the full-spectrum caps: dense eigh up to dense_cap at d = 2,
+    # and the tridiagonal cap at d = 1, where its trials count by Sturm
+    # sequences and take no spectrum
     d2 = "experiment = ids\ndimension = 2\nradii = 40\nalpha = 0.5\n"
     with pytest.raises(ConfigError, match="^6561 sites exceeds dense cap 4096$"):
         parse_config_text(d2)
@@ -408,6 +430,31 @@ def test_ids_run_small(tmp_path):
     assert (Path(cfg.out_dir) / "ids_L150.csv").exists()
 
 
+def test_ids_d2_rows_equal_the_sample_distances_of_the_dense_spectrum(tmp_path):
+    cfg = ExperimentConfig(
+        experiment="ids", dimension=2, radii=(4, 7), law=power_log(1.0, 0), alpha=0.7,
+        trials=3, master_seed=11, out_dir=str(tmp_path / "ids"), ks_threshold=0.5,
+    )
+    run_experiment(cfg)
+    for L in cfg.radii:
+        # the d = 2 free spectrum has multiplicities, so its sample has ties
+        free = free_laplacian_eigs(2, L)
+        assert np.unique(free).size < free.size
+        rows = []
+        for trial in range(cfg.trials):
+            spec = cfg.box(L)
+            pot = sample_potential(spec, cfg.law, cfg.alpha, derive_stream(11, trial, 0))
+            eigs = dense_eigs(build_hamiltonian(spec, pot))
+            bulk = eigs[(eigs >= -4.0) & (eigs <= 4.0)]
+            rows.append(",".join([
+                str(trial), str(L), format(stats_oracle.ks_distance(bulk, free), ".17g"),
+                format(stats_oracle.levy_distance(bulk, free), ".17g"),
+                format(stats_oracle.ks_distance(eigs, free), ".17g"),
+                str(eigs.size - bulk.size)]))
+        lines = (Path(cfg.out_dir) / f"ids_L{L}.csv").read_text().splitlines()
+        assert lines[1:] == rows
+
+
 def test_sandwich_run_small(tmp_path):
     cfg = ExperimentConfig(
         experiment="sandwich", dimension=1, radii=(10, 20), alpha=1.0,
@@ -636,24 +683,29 @@ def test_the_benchmark_layer_calls_still_run(monkeypatch):
     assert ladder.shape == (3,) and np.all(np.diff(ladder) <= 0)
 
 
-@pytest.mark.parametrize("kw, topk_calls, full_calls", [
-    (dict(solver="lanczos"), 3, 0),  # 121 sites by Lanczos, once per trial
-    (dict(), 0, 3),  # auto: the exact path at 121 sites
-    (dict(experiment="ids", radii=(20, 40)), 0, 6),  # per trial and radius
+@pytest.mark.parametrize("kw, expected", [
+    # 121 sites by Lanczos, once per trial
+    (dict(solver="lanczos"), dict(extremal_topk=3)),
+    (dict(), dict(full_spectrum=3)),  # auto: the exact path at 121 sites
+    # d = 1 counts by Sturm sequences and takes no spectrum; both KS
+    # distances and the Levy distance per trial and radius
+    (dict(experiment="ids", radii=(20, 40)), dict(ks_distance=12, levy_distance=6)),
+    # d = 2 counts in its dense spectrum, once per trial and radius
+    (dict(experiment="ids", dimension=2, radii=(3, 5), alpha=0.5),
+     dict(full_spectrum=6, ks_distance=12, levy_distance=6)),
     # E_1 by bisection, once per trial and radius
     (dict(experiment="sandwich", radii=(10, 20), law=stretched_exp(1.0), alpha=1.0,
-          x_grid=(6.0,)), 0, 6),
-], ids=["extremal-lanczos", "extremal-exact", "ids", "sandwich-exact"])
-def test_trials_call_the_kernels_the_tracer_patches(tmp_path, monkeypatch, kw,
-                                                    topk_calls, full_calls):
-    calls = {"extremal_topk": 0, "full_spectrum": 0}
+          x_grid=(6.0,)), dict(full_spectrum=6)),
+], ids=["extremal-lanczos", "extremal-exact", "ids", "ids-d2", "sandwich-exact"])
+def test_trials_call_the_kernels_the_tracer_patches(tmp_path, monkeypatch, kw, expected):
+    calls = dict.fromkeys(("extremal_topk", "full_spectrum", "ks_distance", "levy_distance"), 0)
     for name in calls:
         def spy(*args, _name=name, _fn=getattr(harness, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(harness, name, spy)
     run_experiment(small_extremal_cfg(tmp_path, source="H", trials=3, **kw))
-    assert calls == {"extremal_topk": topk_calls, "full_spectrum": full_calls}
+    assert calls == {**dict.fromkeys(calls, 0), **expected}
 
 
 def test_sample_run_dumps_matrix(tmp_path):

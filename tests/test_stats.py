@@ -1,11 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
+from speclab import stats
 from speclab.lattice import BoxSpec
+from speclab.operators import free_laplacian_eigs
 from speclab.stats import (
+    SpectrumCounts,
     count_in_intervals,
     exact_max_cdf,
     exact_max_cdf_ladder,
@@ -18,8 +23,11 @@ from speclab.stats import (
     poisson_gof,
     poisson_joint_gof,
     rescale,
+    sorted_counter,
 )
 from speclab.tails import power_log, stretched_exp
+
+import stats_oracle
 
 INF = math.inf
 
@@ -54,10 +62,15 @@ def test_rescale_empty():
 
 # --- KS and Levy distances ----------------------------------------------------
 
+def counts_of(sample):
+    """The counts of an explicit sample, as the d >= 2 runs take them."""
+    return SpectrumCounts(sorted_counter(sample), len(sample))
+
+
 def test_ks_examples():
-    assert ks_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert ks_distance([0.0], [1.0]) == 1.0
-    assert ks_distance([1.0, 2.0], [1.5]) == 0.5
+    assert ks_distance(counts_of([1.0, 2.0]), [1.0, 2.0]) == 0.0
+    assert ks_distance(counts_of([0.0]), [1.0]) == 1.0
+    assert ks_distance(counts_of([1.0, 2.0]), [1.5]) == 0.5
 
 
 def test_ks_matches_scipy():
@@ -65,17 +78,17 @@ def test_ks_matches_scipy():
     for _ in range(10):
         a = rng.standard_normal(37)
         b = rng.standard_normal(53) + 0.3
-        ours = ks_distance(a, b)
+        ours = ks_distance(counts_of(a), b)
         ref = scipy.stats.ks_2samp(a, b, method="exact").statistic
         assert ours == pytest.approx(ref, abs=1e-12)
 
 
 def test_levy_identical_zero():
-    assert levy_distance([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
+    assert levy_distance(counts_of([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]) == 0.0
 
 
 def test_levy_point_shift():
-    assert levy_distance([0.0], [0.3]) == pytest.approx(0.3, abs=1e-5)
+    assert levy_distance(counts_of([0.0]), [0.3]) == pytest.approx(0.3, abs=1e-5)
 
 
 def brute_force_levy(a, b, eps_grid):
@@ -105,7 +118,7 @@ def test_levy_against_brute_force_grid():
     for _ in range(5):
         a = rng.standard_normal(12)
         b = rng.standard_normal(9) * 1.4 + 0.2
-        ours = levy_distance(a, b, tol=1e-7)
+        ours = levy_distance(counts_of(a), b, tol=1e-7)
         grid = np.linspace(0, 1.5, 3001)
         ref = brute_force_levy(a, b, grid)
         assert abs(ours - ref) <= 1e-3
@@ -116,7 +129,59 @@ def test_levy_below_ks_always():
     for _ in range(20):
         a = rng.standard_normal(25)
         b = rng.standard_normal(30) + rng.uniform(-1, 1)
-        assert levy_distance(a, b) <= ks_distance(a, b) + 1e-12
+        assert levy_distance(counts_of(a), b) <= ks_distance(counts_of(a), b) + 1e-12
+
+
+
+# quarter-integers tie inside each sample and between the two
+VALUES = st.integers(-8, 8).map(lambda k: k / 4) | st.floats(-3.0, 3.0)
+SAMPLES = st.lists(VALUES, min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=SAMPLES, b=SAMPLES, window=st.none() | st.tuples(VALUES, VALUES),
+       batch=st.sampled_from([1, 2, 5, stats.COUNT_BATCH]),
+       lookahead=st.sampled_from([1, 3, stats.LEVY_LOOKAHEAD]))
+def test_distances_from_counts_equal_the_sample_oracles(a, b, window, batch, lookahead):
+    # small batches make the KS refine and the Levy bisection count
+    # from brackets, as large spectra do
+    counts = counts_of(a)
+    if window is not None:
+        lo, hi = sorted(window)
+        a = [v for v in a if lo <= v <= hi]
+        counts = counts.window(lo, hi)
+    with mock.patch.object(stats, "COUNT_BATCH", batch), \
+            mock.patch.object(stats, "LEVY_LOOKAHEAD", lookahead):
+        if not a:
+            with pytest.raises(ValueError, match="nonempty"):
+                ks_distance(counts, b)
+            return
+        assert ks_distance(counts, b) == stats_oracle.ks_distance(a, b)
+        assert levy_distance(counts, b) == stats_oracle.levy_distance(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_distances_from_counts_on_spectrum_sized_samples(seed):
+    # a d = 2 free spectrum, with its multiplicities, against a wider sample
+    # with outliers; the bulk is a window of the same counts
+    rng = np.random.default_rng(seed)
+    free = free_laplacian_eigs(2, 20)
+    a = np.concatenate([rng.uniform(-4.0, 4.0, 1500) * rng.uniform(0.9, 1.0),
+                        rng.uniform(4.0, 50.0, 40)])
+    passes = []
+    counter = sorted_counter(a)
+    whole = SpectrumCounts(lambda x: passes.append(x.size) or counter(x), a.size)
+    bulk = whole.window(-4.0, 4.0)
+    a_bulk = a[(a >= -4.0) & (a <= 4.0)]
+    assert ks_distance(bulk, free) == stats_oracle.ks_distance(a_bulk, free)
+    assert levy_distance(bulk, free) == stats_oracle.levy_distance(a_bulk, free)
+    assert ks_distance(whole, free) == stats_oracle.ks_distance(a, free)
+    assert whole.size - bulk.size == a.size - a_bulk.size
+    # every count is kept: asking again makes no pass
+    made = len(passes)
+    ks_distance(bulk, free)
+    levy_distance(bulk, free)
+    assert len(passes) == made
 
 
 # --- interval counts -----------------------------------------------------------
