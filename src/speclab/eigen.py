@@ -21,9 +21,14 @@ The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
 re-verified against the operator.
 
 `count_le(op, x)` counts a d=1 operator's eigenvalues at or below each point
-of x by the same Sturm sequence, in O(n) per point and without solving: `ids`
-reads its distances from these counts at d=1, so it takes no full spectrum
-there.
+of x, in O(n) per point and without solving: `ids` reads its distances from
+these counts at d=1, so it takes no full spectrum there. Each count is the
+inertia of a twisted factorization H - x = N D N^T with the twist at the
+middle site, as LAPACK's dlaneg computes it (Fernando, SIAM J. Matrix Anal.
+Appl. 18, 1997; Dhillon & Parlett, Linear Algebra Appl. 387, 2004): by
+Sylvester's law, N(x) is the number of negative pivots in D, and the forward
+and backward Sturm sequences that make D run from both ends of the chain at
+once, in half the Python steps of a one-ended sweep.
 """
 from __future__ import annotations
 
@@ -38,8 +43,9 @@ from .operators import DENSE_CAP_DEFAULT, LatticeOperator
 TRIDIAG_CAP_DEFAULT = 200_000
 # LAPACK's pivmin for unit off-diagonals (dstebz: safe minimum * max(1, e^2))
 PIVMIN = np.finfo(np.float64).tiny
-# sites per block of count_le, and the cap on a block's pivots, which bounds
-# its memory at 512 KiB a buffer for any number of points
+# steps (a site from each end) per block of count_le, and the cap on a
+# block's pivots, which bounds its memory at 512 KiB a buffer for any number
+# of points
 STURM_BLOCK_SITES = 64
 STURM_BLOCK_VALUES = 1 << 16
 LANCZOS_TOL_DEFAULT = 1e-10
@@ -121,44 +127,66 @@ def full_spectrum(
 def count_le(op: LatticeOperator, x) -> np.ndarray:
     """#{eigenvalues <= x} of a d=1 operator, at every point of the 1-D array x.
 
-    Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): the number
-    of negative pivots q_i of H - x = L D L^T, where q_1 = V_1 - x and
-    q_i = (V_i - x) - 1/q_{i-1} for the unit hopping. A pivot with
-    |q| < PIVMIN is replaced by -PIVMIN, LAPACK's convention (dlaebz), so an
-    x equal to an eigenvalue is counted. The sites are looped in Python and
-    the points vectorized, a block of sites at a time, in buffers of
-    O(x.size) bounded by STURM_BLOCK_VALUES: no n x points array is formed.
-    As LAPACK's dlaneg does, a block first runs without the pivot check and
-    is run again with it only when one of its pivots came out tiny.
+    Twisted Sturm count, as LAPACK's dlaneg (Fernando, SIAM J. Matrix Anal.
+    Appl. 18, 1997; Dhillon & Parlett, Linear Algebra Appl. 387, 2004). With
+    the twist at the middle site k = L of the n = 2L + 1 sites and the unit
+    hopping, H - x = N D N^T, where N is unit lower bidiagonal above row k
+    and unit upper bidiagonal below it, and D is diagonal with
+      - the forward pivots of the sites i < k: q_0 = V_0 - x,
+        q_i = (V_i - x) - 1/q_{i-1};
+      - the backward pivots of the sites i > k: r_{n-1} = V_{n-1} - x,
+        r_i = (V_i - x) - 1/r_{i+1};
+      - the twist gamma_k = ((V_k - x) - 1/q_{k-1}) - 1/r_{k+1}.
+    By Sylvester's law of inertia, H - x and D have equally many negative
+    eigenvalues, so N(x) is the number of negative entries of D (a one-ended
+    sweep, Barth, Martin & Wilkinson, Numer. Math. 9, 1967, counts the same
+    inertia). A pivot with |q| < PIVMIN, gamma included, is replaced by
+    -PIVMIN, LAPACK's convention (dlaebz), so an x equal to an eigenvalue is
+    counted.
+
+    Both ends are swept at once: the forward and backward pivots of all the
+    points form one array of 2 x.size values, so a pass takes L Python
+    steps, vectorized over the points, a block of steps at a time, in buffers
+    bounded by STURM_BLOCK_VALUES: no n x points array is formed. As dlaneg
+    does, a block first runs without the pivot check and is run again with
+    it only when one of its pivots came out tiny.
     """
     if op.spec.dimension != 1:
         raise ValueError("count_le counts a d = 1 operator")
     x = np.asarray(x, dtype=np.float64)
     diag, n, p = op.diagonal, op.n, x.size
-    rows = max(1, min(STURM_BLOCK_SITES, STURM_BLOCK_VALUES // max(p, 1)))
-    shifted = np.empty((rows, p))  # V_i - x for the block's sites
-    pivots = np.empty((rows, p))
-    recip = np.zeros(p)  # 1/q of the previous pivot; 0 before the first site
-    counts = np.zeros(p, dtype=np.int64)
-    for start in range(0, n, rows):
-        b = min(rows, n - start)
-        shift, piv = shifted[:b], pivots[:b]
-        np.subtract(diag[start:start + b, None], x, out=shift)
-        carried = recip.copy()
-        for checked in (False, True):
-            np.copyto(recip, carried)
-            # unchecked, a zero pivot divides to an infinity: no NaN follows,
-            # and the block is run again
-            with np.errstate(divide="ignore", over="ignore"):
-                for r in range(b):
-                    np.subtract(shift[r], recip, out=piv[r])
+    # a d = 1 box has n = 2L + 1 sites: the twist is site L, and each step
+    # takes site i forward and site n-1-i backward
+    k = n // 2
+    lanes = np.stack([diag[:k], diag[:k:-1]], axis=1)
+    rows = max(1, min(STURM_BLOCK_SITES, STURM_BLOCK_VALUES // max(2 * p, 1)))
+    shifted = np.empty((rows, 2 * p))  # V_i - x for the block's steps
+    pivots = np.empty((rows, 2 * p))
+    recip = np.zeros(2 * p)  # 1/pivot of each lane's previous step
+    negative = np.zeros(2 * p, dtype=np.int64)
+    # bound once: the loop below is all ufunc calls, so their lookup counts
+    subtract, reciprocal = np.subtract, np.reciprocal
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, k, rows):
+            b = min(rows, k - start)
+            shift, piv = shifted[:b], pivots[:b]
+            np.subtract(lanes[start:start + b, :, None], x, out=shift.reshape(b, 2, p))
+            carried = recip.copy()
+            for checked in (False, True):
+                np.copyto(recip, carried)
+                # unchecked, a zero pivot divides to an infinity: no NaN
+                # follows, and the block is run again
+                for shift_row, piv_row in zip(shift, piv):
+                    subtract(shift_row, recip, piv_row)
                     if checked:
-                        np.copyto(piv[r], -PIVMIN, where=np.abs(piv[r]) < PIVMIN)
-                    np.divide(1.0, piv[r], out=recip)
-            if checked or np.abs(piv).min(initial=np.inf) >= PIVMIN:
-                break
-        counts += np.count_nonzero(piv < 0.0, axis=0)
-    return counts
+                        np.copyto(piv_row, -PIVMIN, where=np.abs(piv_row) < PIVMIN)
+                    reciprocal(piv_row, recip)
+                if checked or np.abs(piv).min(initial=np.inf) >= PIVMIN:
+                    break
+            negative += np.count_nonzero(piv < 0.0, axis=0)
+        twist = (diag[k] - x) - recip[:p] - recip[p:]
+    np.copyto(twist, -PIVMIN, where=np.abs(twist) < PIVMIN)
+    return negative[:p] + negative[p:] + (twist < 0.0)
 
 
 def extremal_topk(

@@ -524,14 +524,15 @@ def _run_extremal(cfg: ExperimentConfig, out: Path):
     summary: dict = {"per_L": {}}
     checks: dict[str, bool] = {}
     flagged_total = 0
-    gammas = []
-    for L in cfg.radii:
-        spec = cfg.box(L)
-        plan = resolve_gamma(cfg.scaling_mode, spec, cfg.law, cfg.alpha,
-                             cfg.calibration_x)
-        gammas.append(plan.gamma)
-        payloads = [(cfg, L, plan.gamma, t) for t in range(cfg.trials)]
-        results = _map_trials(cfg, _extremal_trial, payloads)
+    plans = [resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha,
+                           cfg.calibration_x) for L in cfg.radii]
+    gammas = [plan.gamma for plan in plans]
+    # one map over every (radius, trial), folded per radius in trial order
+    all_results = _map_trials(cfg, _extremal_trial, [
+        (cfg, L, plan.gamma, t) for L, plan in zip(cfg.radii, plans)
+        for t in range(cfg.trials)])
+    for i, (L, plan) in enumerate(zip(cfg.radii, plans)):
+        results = all_results[i * cfg.trials:(i + 1) * cfg.trials]
         rows = []
         entry: dict = {"gamma": plan.gamma, "mode": plan.mode, "sources": {}}
         for res in results:
@@ -597,9 +598,11 @@ def _run_ids(cfg: ExperimentConfig, out: Path):
     summary: dict = {"per_L": {}}
     checks: dict[str, bool] = {}
     means = []
-    for L in cfg.radii:
-        payloads = [(cfg, L, t) for t in range(cfg.trials)]
-        results = _map_trials(cfg, _ids_trial, payloads)
+    # one map over every (radius, trial), folded per radius in trial order
+    all_results = _map_trials(cfg, _ids_trial,
+                             [(cfg, L, t) for L in cfg.radii for t in range(cfg.trials)])
+    for i, L in enumerate(cfg.radii):
+        results = all_results[i * cfg.trials:(i + 1) * cfg.trials]
         rows = [[str(r["trial"]), str(L), _fmt(r["ks_bulk"]), _fmt(r["levy_bulk"]),
                  _fmt(r["ks_full"]), str(r["n_outside_band"])] for r in results]
         rows_per_l[L] = rows

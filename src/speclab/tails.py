@@ -16,6 +16,7 @@ h_k(x) = x*log(x)**k in :mod:`speclab.scaling`.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,8 +64,9 @@ class TailLaw:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
         object.__setattr__(self, "clamp_point", clamp)
 
-    @property
+    @functools.cached_property
     def f_at_clamp(self) -> float:
+        """f(clamp_point), evaluated once per law."""
         return f_eval(self, self.clamp_point) if self.clamp_point > 0 else 1.0
 
     def to_dict(self) -> dict:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import scipy.linalg
 
 from speclab.eigen import (
+    STURM_BLOCK_SITES,
     TRIDIAG_CAP_DEFAULT,
     check_full_spectrum_cap,
     count_le,
@@ -16,13 +17,14 @@ from speclab.harness import STREAM_SOLVER, derive_stream
 from speclab.lattice import BoxSpec, CapacityError
 from speclab.operators import (
     DENSE_CAP_DEFAULT,
+    PotentialSample,
     build_hamiltonian,
     free_laplacian_eigs,
     sample_potential,
 )
 from speclab.tails import power_log
 
-from eigen_oracle import dense_eigs, free_operator
+from eigen_oracle import count_le_one_ended, dense_eigs, free_operator
 
 
 def make_instance(d, L, alpha=0.5, law=power_log(2.0, 0), seed=0, trial=0):
@@ -261,6 +263,32 @@ def test_count_le_matches_the_tridiagonal_spectrum(L, p, alpha, seed, points):
     np.testing.assert_array_equal(count_le(op, x), np.searchsorted(vals, x, side="right"))
 
 
+@PROPERTY_SETTINGS
+@given(
+    # n = 3 and 5, and L steps around one and two blocks of STURM_BLOCK_SITES
+    L=st.one_of(st.sampled_from([1, 2, STURM_BLOCK_SITES - 1, STURM_BLOCK_SITES,
+                                 STURM_BLOCK_SITES + 1, 2 * STURM_BLOCK_SITES + 1]),
+                st.integers(1, 300)),
+    p=st.floats(1.0, 4.0),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+    points=st.integers(1, 1500),
+)
+def test_twisted_count_matches_the_one_ended_sweep_and_the_spectrum(L, p, alpha, seed,
+                                                                     points):
+    # no point sits on an eigenvalue: there both counts are exact for
+    # matrices within rounding of H, and may differ
+    spec, pot = make_instance(1, L, alpha=alpha, law=power_log(p, 0), seed=seed)
+    op = build_hamiltonian(spec, pot)
+    vals = scipy.linalg.eigvalsh_tridiagonal(op.diagonal, np.ones(op.n - 1))
+    rng = np.random.default_rng(seed)
+    near = rng.choice(vals, points) + rng.choice([-1e-7, 1e-7], points) * op.norm_bound()
+    x = np.concatenate([near, rng.uniform(vals[0] - 1.0, vals[-1] + 1.0, points)])
+    counts = count_le(op, x)
+    np.testing.assert_array_equal(counts, count_le_one_ended(op, x))
+    np.testing.assert_array_equal(counts, np.searchsorted(vals, x, side="right"))
+
+
 @pytest.mark.parametrize("L", [1, 2, 40, 150])
 def test_count_le_counts_an_eigenvalue_at_the_point(L):
     # the free chain of odd n = 2L + 1 has the eigenvalue 0, where every
@@ -268,6 +296,18 @@ def test_count_le_counts_an_eigenvalue_at_the_point(L):
     op = free_operator(BoxSpec(1, L))
     np.testing.assert_array_equal(count_le(op, np.array([-3.0, 0.0, 3.0])),
                                   [0, L + 1, op.n])
+
+
+@pytest.mark.parametrize("L", [1, 2, 40, 150])
+def test_count_le_counts_an_eigenvalue_where_the_twist_pivot_is_zero(L):
+    # V = (1, 2, ..., 2, 1) is the path's signless Laplacian, whose least
+    # eigenvalue is 0: at x = 0 every forward and backward pivot is exactly 1
+    # and the twist 2 - 1 - 1 exactly 0, which the -pivmin rule counts
+    spec = BoxSpec(1, L)
+    v = np.full(spec.site_count, 2.0)
+    v[[0, -1]] = 1.0
+    op = build_hamiltonian(spec, PotentialSample(spec=spec, omegas=v, values=v))
+    np.testing.assert_array_equal(count_le(op, np.array([-1e-3, 0.0])), [0, 1])
 
 
 def test_count_le_counts_d1_alone():

@@ -430,6 +430,31 @@ def test_ids_run_small(tmp_path):
     assert (Path(cfg.out_dir) / "ids_L150.csv").exists()
 
 
+@pytest.mark.parametrize("kw", [
+    dict(experiment="ids", radii=(20, 40), ks_threshold=0.5),
+    dict(radii=(20, 40), scaling_mode="power", alpha=0.25),
+], ids=["ids", "extremal"])
+def test_a_run_maps_every_radius_and_trial_in_one_pool_call(tmp_path, monkeypatch, kw):
+    maps = []
+    real = harness._map_trials
+
+    def spy(cfg, worker, payloads):
+        maps.append([(p[1], p[-1]) for p in payloads])  # (L, trial)
+        return real(cfg, worker, payloads)
+
+    monkeypatch.setattr(harness, "_map_trials", spy)
+    cfg = small_extremal_cfg(tmp_path, trials=3, workers=2, **kw)
+    summary = run_experiment(cfg)
+    # radius-major, and each radius folds its own trials in order
+    assert maps == [[(L, t) for L in cfg.radii for t in range(3)]]
+    assert set(summary["per_L"]) == {"20", "40"}
+    for L in cfg.radii:
+        lines = (Path(cfg.out_dir) / f"{cfg.experiment}_L{L}.csv").read_text().splitlines()
+        rows = [r.split(",")[:2] for r in lines[1:]]
+        assert rows == sorted(rows, key=lambda r: int(r[0]))
+        assert {tuple(r) for r in rows} == {(str(t), str(L)) for t in range(3)}
+
+
 def test_ids_d2_rows_equal_the_sample_distances_of_the_dense_spectrum(tmp_path):
     cfg = ExperimentConfig(
         experiment="ids", dimension=2, radii=(4, 7), law=power_log(1.0, 0), alpha=0.7,
