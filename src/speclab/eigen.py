@@ -2,18 +2,18 @@
 
 `solver_path` is the one rule for how the top of a Hamiltonian's spectrum is
 solved: ARPACK's Lanczos under `solver = lanczos` or at d >= 2 above the
-dense cap, else the exact path of the dimension. It never raises, since a
-top slice is capped only by the site cap. Only full spectra, which `ids`
-takes at d >= 2, have caps of their own, all stated by
-`check_full_spectrum_cap`.
+dense cap, else the exact path of the dimension. It never raises: a cap
+exists only where a solve holds more than O(n) memory, and that is the
+dense cap on a d >= 2 full spectrum alone, which `ids` takes there.
 
 `full_spectrum(op, dense_cap, m=None)` is the only exact solve. At d >= 2 it
-materializes the operator and calls the LAPACK symmetric solver (Householder
-reduction to tridiagonal form, then implicit-shift QL/QR). A d=1 operator is
-already tridiagonal: its full spectrum comes from the QL driver in O(n^2),
-and its m largest eigenvalues, as every extremal experiment asks, from
-Sturm-sequence bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer.
-Math. 9, 1967) for those m indices alone, in O(n m log(1/eps)), at any n.
+calls the LAPACK symmetric solver (Householder reduction to tridiagonal
+form, then implicit-shift QL/QR) on `to_dense`, which caps a full spectrum.
+A d=1 operator is already tridiagonal: its full spectrum comes from the QL
+driver in O(n) memory, so at any n (no experiment takes one), and its m
+largest eigenvalues, as every extremal experiment asks, from Sturm-sequence
+bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
+for those m indices alone, in O(n m log(1/eps)), at any n.
 Bisection and QL agree to rounding (sandwich's e1_h moved by at most 6e-15
 relative on configs/sandwich.cfg, measured).
 The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
@@ -37,10 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # scipy.linalg and scipy.sparse.linalg load on first use
 
-from .lattice import CapacityError
 from .operators import DENSE_CAP_DEFAULT, LatticeOperator
 
-TRIDIAG_CAP_DEFAULT = 200_000
 # LAPACK's pivmin for unit off-diagonals (dstebz: safe minimum * max(1, e^2))
 PIVMIN = np.finfo(np.float64).tiny
 # steps (a site from each end) per block of count_le, and the cap on a
@@ -80,34 +78,25 @@ def solver_path(dimension: int, n: int, solver: str, dense_cap: int) -> str:
     return "bisection" if dimension == 1 else "dense"
 
 
-def check_full_spectrum_cap(dimension: int, n: int, dense_cap: int) -> None:
-    """Raise CapacityError over a full spectrum's cap: TRIDIAG_CAP_DEFAULT
-    for QL's O(n^2) at d = 1, dense_cap for dense eigh at d >= 2."""
-    path, cap = ("tridiagonal", TRIDIAG_CAP_DEFAULT) if dimension == 1 else ("dense", dense_cap)
-    if n > cap:
-        raise CapacityError(f"{n} sites exceeds {path} cap {cap}")
-
-
 def full_spectrum(
     op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT, m: int | None = None
 ) -> Spectrum:
     """All eigenvalues, or with m the m largest (ascending), on the exact path.
 
-    A full spectrum is first checked against `check_full_spectrum_cap`; a
-    top slice is not capped here. A d >= 2 operator is materialized and
-    solved by dense eigh; its top m are a slice of that spectrum. A d=1
+    A d >= 2 operator is materialized and solved by dense eigh; its top m
+    are a slice of that spectrum. Only a d >= 2 full spectrum is capped, by
+    `to_dense(dense_cap)`, which raises CapacityError over it. A d=1
     operator is tridiagonal: its full spectrum comes from the QL driver, and
     its top m from Sturm-sequence bisection (LAPACK stebz) for the indices
     n-m+1..n alone, to LAPACK's default absolute tolerance eps*|T|; a
     LinAlgError is raised when stebz reports failure or finds fewer than m.
     """
     n = op.n
-    if m is None:
-        check_full_spectrum_cap(op.spec.dimension, n, dense_cap)
-    elif not 1 <= m <= n:
+    if m is not None and not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
     if op.spec.dimension >= 2:
-        vals = scipy.linalg.eigh(op.to_dense(n), eigvals_only=True, driver="ev")
+        H = op.to_dense(dense_cap if m is None else n)
+        vals = scipy.linalg.eigh(H, eigvals_only=True, driver="ev")
         return Spectrum(values=vals if m is None else vals[-m:], method="dense")
     off = np.ones(n - 1)
     if m is None:

@@ -28,6 +28,7 @@ from .lattice import BoxSpec, CapacityError, check_capacity, site_array
 from .operators import (
     DENSE_CAP_DEFAULT,
     build_hamiltonian,
+    check_dense_cap,
     free_laplacian_eigs,
     restrict_potential,
     sample_potential,
@@ -37,7 +38,6 @@ from .eigen import (
     LANCZOS_MAX_ITER_DEFAULT,
     LANCZOS_TOL_DEFAULT,
     Spectrum,
-    check_full_spectrum_cap,
     count_le,
     extremal_topk,
     full_spectrum,
@@ -231,15 +231,14 @@ class ExperimentConfig:
         try:
             if self.intervals:
                 validate_intervals(self.intervals)
-            # the site cap of each box; ids keeps the full-spectrum caps:
-            # dense eigh's at d >= 2, and at d = 1 the tridiagonal cap, which
-            # still bounds the box though its trials count by Sturm sequences
-            # and take no spectrum
+            # the site cap binds every box, and the dense cap an ids box at
+            # d >= 2, whose trials take the dense spectrum; a d = 1 ids
+            # trial only counts, in O(n) memory
             for L in self.radii:
                 box = self.box(L)
                 check_capacity(box)
-                if self.experiment == "ids":
-                    check_full_spectrum_cap(self.dimension, box.site_count, self.dense_cap)
+                if self.experiment == "ids" and self.dimension >= 2:
+                    check_dense_cap(box.site_count, self.dense_cap)
             # only the rescaling experiments consume a scaling mode; a
             # calibration whose tail sum can never reach 1/x fails here
             if self.experiment in ("extremal", "maxlaw", "tailsum"):
@@ -465,6 +464,15 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
         return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
 
 
+def _map_radii(cfg: ExperimentConfig, worker, payload: Callable) -> dict[int, list]:
+    """One `_map_trials` call over payload(L, t) for every radius and trial,
+    the largest radius first so that its long trials start first; each
+    radius's results come back in trial order."""
+    radii, n = cfg.radii[::-1], cfg.trials  # validate() holds radii increasing
+    results = _map_trials(cfg, worker, [payload(L, t) for L in radii for t in range(n)])
+    return {L: results[i * n:(i + 1) * n] for i, L in enumerate(radii)}
+
+
 # ---------------------------------------------------------------------------
 # experiment drivers
 
@@ -524,15 +532,12 @@ def _run_extremal(cfg: ExperimentConfig, out: Path):
     summary: dict = {"per_L": {}}
     checks: dict[str, bool] = {}
     flagged_total = 0
-    plans = [resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha,
-                           cfg.calibration_x) for L in cfg.radii]
-    gammas = [plan.gamma for plan in plans]
-    # one map over every (radius, trial), folded per radius in trial order
-    all_results = _map_trials(cfg, _extremal_trial, [
-        (cfg, L, plan.gamma, t) for L, plan in zip(cfg.radii, plans)
-        for t in range(cfg.trials)])
-    for i, (L, plan) in enumerate(zip(cfg.radii, plans)):
-        results = all_results[i * cfg.trials:(i + 1) * cfg.trials]
+    plans = {L: resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha,
+                              cfg.calibration_x) for L in cfg.radii}
+    gammas = [plan.gamma for plan in plans.values()]
+    by_radius = _map_radii(cfg, _extremal_trial, lambda L, t: (cfg, L, plans[L].gamma, t))
+    for L, plan in plans.items():
+        results = by_radius[L]
         rows = []
         entry: dict = {"gamma": plan.gamma, "mode": plan.mode, "sources": {}}
         for res in results:
@@ -598,11 +603,9 @@ def _run_ids(cfg: ExperimentConfig, out: Path):
     summary: dict = {"per_L": {}}
     checks: dict[str, bool] = {}
     means = []
-    # one map over every (radius, trial), folded per radius in trial order
-    all_results = _map_trials(cfg, _ids_trial,
-                             [(cfg, L, t) for L in cfg.radii for t in range(cfg.trials)])
-    for i, L in enumerate(cfg.radii):
-        results = all_results[i * cfg.trials:(i + 1) * cfg.trials]
+    by_radius = _map_radii(cfg, _ids_trial, lambda L, t: (cfg, L, t))
+    for L in cfg.radii:
+        results = by_radius[L]
         rows = [[str(r["trial"]), str(L), _fmt(r["ks_bulk"]), _fmt(r["levy_bulk"]),
                  _fmt(r["ks_full"]), str(r["n_outside_band"])] for r in results]
         rows_per_l[L] = rows

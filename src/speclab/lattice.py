@@ -29,8 +29,8 @@ WALK_CHUNK = 1 << 18
 
 
 class CapacityError(Exception):
-    """Raised when a box exceeds DEFAULT_SITE_CAP sites, or a dense or
-    tridiagonal solve exceeds its site cap."""
+    """Raised when a box exceeds DEFAULT_SITE_CAP sites, or a dense matrix
+    would exceed its site cap."""
 
 
 @dataclass(frozen=True)

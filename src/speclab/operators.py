@@ -69,6 +69,13 @@ def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSamp
     )
 
 
+def check_dense_cap(n: int, dense_cap: int) -> None:
+    """Raise CapacityError before an n x n matrix of more than dense_cap sites
+    is built: the one cap on a solve, since every other path holds O(n)."""
+    if n > dense_cap:
+        raise CapacityError(f"{n} sites exceeds dense cap {dense_cap}")
+
+
 @dataclass(frozen=True)
 class LatticeOperator:
     """Matrix-free H = hopping + V on a box."""
@@ -105,10 +112,9 @@ class LatticeOperator:
         return out.ravel()
 
     def to_dense(self, dense_cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-        """Materialized symmetric matrix; guarded by a site cap."""
+        """Materialized symmetric matrix; guarded by `check_dense_cap`."""
         n = self.n
-        if n > dense_cap:
-            raise CapacityError(f"{n} sites exceeds dense cap {dense_cap}")
+        check_dense_cap(n, dense_cap)
         H = np.zeros((n, n))
         np.fill_diagonal(H, self.diagonal)
         for i, j in self.hop_pairs():

@@ -6,8 +6,6 @@ import scipy.linalg
 
 from speclab.eigen import (
     STURM_BLOCK_SITES,
-    TRIDIAG_CAP_DEFAULT,
-    check_full_spectrum_cap,
     count_le,
     extremal_topk,
     full_spectrum,
@@ -19,6 +17,7 @@ from speclab.operators import (
     DENSE_CAP_DEFAULT,
     PotentialSample,
     build_hamiltonian,
+    check_dense_cap,
     free_laplacian_eigs,
     sample_potential,
 )
@@ -44,14 +43,13 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 # --- the solver path rule ------------------------------------------------------
 
 CAP = DENSE_CAP_DEFAULT
-TRI = TRIDIAG_CAP_DEFAULT
 
 
 @pytest.mark.parametrize("d, n, solver, dense_cap, expected", [
     # auto: bisection at d=1 for any n, whatever dense_cap says
     (1, CAP, "auto", CAP, "bisection"),
     (1, CAP + 1, "auto", CAP, "bisection"),
-    (1, TRI + 1, "auto", TRI + 1, "bisection"),
+    (1, 200_001, "auto", 200_001, "bisection"),
     # auto at d >= 2: a dense slice up to dense_cap, Lanczos above it
     (2, CAP, "auto", CAP, "dense"),
     (2, CAP + 1, "auto", CAP, "lanczos"),
@@ -64,18 +62,18 @@ def test_solver_path_table(d, n, solver, dense_cap, expected):
 
 
 @pytest.mark.parametrize("d, n, dense_cap, error", [
-    # QL's cap at d=1, whatever dense_cap says
-    (1, TRI, 0, None),
-    (1, TRI + 1, TRI + 1, f"{TRI + 1} sites exceeds tridiagonal cap {TRI}"),
+    # the dense cap, the one cap on a full spectrum (d >= 2), binds where
+    # auto's top slice leaves the dense path for Lanczos
     (2, CAP, CAP, None),
     (2, CAP + 1, CAP, f"{CAP + 1} sites exceeds dense cap {CAP}"),
 ])
 def test_full_spectrum_caps(d, n, dense_cap, error):
+    assert solver_path(d, n, "auto", dense_cap) == ("dense" if error is None else "lanczos")
     if error is None:
-        check_full_spectrum_cap(d, n, dense_cap)
+        check_dense_cap(n, dense_cap)
     else:
         with pytest.raises(CapacityError, match=f"^{error}$"):
-            check_full_spectrum_cap(d, n, dense_cap)
+            check_dense_cap(n, dense_cap)
 
 
 # --- the exact solve ---------------------------------------------------------
@@ -336,12 +334,10 @@ def test_top_eigenvalues_validation_and_caps():
     for m in (0, 22):
         with pytest.raises(ValueError):
             full_spectrum(op, m=m)
-    # only a full spectrum is capped: a top slice bisects at any n
-    spec1, pot1 = make_instance(1, TRIDIAG_CAP_DEFAULT // 2)
+    # a d = 1 top slice bisects at any n (a QL full spectrum is uncapped
+    # too, but takes minutes at this size)
+    spec1, pot1 = make_instance(1, 100_000)
     op1 = build_hamiltonian(spec1, pot1)
-    with pytest.raises(CapacityError,
-                       match=f"^{op1.n} sites exceeds tridiagonal cap {TRIDIAG_CAP_DEFAULT}$"):
-        full_spectrum(op1)
     top = full_spectrum(op1, m=2)
     assert top.method == "bisection" and top.values.shape == (2,)
     # Weyl: the hopping moves E_1 off max V by at most 2

@@ -183,17 +183,17 @@ def test_a_calibrated_run_walks_each_box_once_for_its_floor(tmp_path, monkeypatc
 
 
 def test_capacity_rejected_where_the_run_needs_the_full_spectrum():
-    # ids keeps the full-spectrum caps: dense eigh up to dense_cap at d = 2,
-    # and the tridiagonal cap at d = 1, where its trials count by Sturm
-    # sequences and take no spectrum
+    # ids at d = 2 takes the dense spectrum, capped at dense_cap
     d2 = "experiment = ids\ndimension = 2\nradii = 40\nalpha = 0.5\n"
     with pytest.raises(ConfigError, match="^6561 sites exceeds dense cap 4096$"):
         parse_config_text(d2)
     parse_config_text(d2 + "dense_cap = 6561\n")
-    d1 = "experiment = ids\nradii = 100000\nalpha = 0.5\n"
-    with pytest.raises(ConfigError, match="^200001 sites exceeds tridiagonal cap 200000$"):
-        parse_config_text(d1)
-    parse_config_text(d1.replace("100000", "99999"))
+    # ids at d = 1 only counts, in O(n) memory: the site cap alone binds it
+    ids_cfg = (Path(__file__).resolve().parent.parent / "configs" / "ids.cfg").read_text()
+    for L in ("100000", "200000"):
+        assert parse_config_text(ids_cfg, {"radii": L}).radii == (int(L),)
+    with pytest.raises(ConfigError, match="exceeds cap 100000000$"):
+        parse_config_text(ids_cfg, {"radii": "50000000"})
     # a top slice has only the site cap: over dense_cap a d = 2 run goes to
     # Lanczos, and a d = 1 run bisects at any size
     extremal = "experiment = extremal\ndimension = 2\nradii = 40\nalpha = 0\n"
@@ -445,8 +445,9 @@ def test_a_run_maps_every_radius_and_trial_in_one_pool_call(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "_map_trials", spy)
     cfg = small_extremal_cfg(tmp_path, trials=3, workers=2, **kw)
     summary = run_experiment(cfg)
-    # radius-major, and each radius folds its own trials in order
-    assert maps == [[(L, t) for L in cfg.radii for t in range(3)]]
+    # radius-major, the largest radius first, and each radius folds its own
+    # trials in order
+    assert maps == [[(L, t) for L in sorted(cfg.radii, reverse=True) for t in range(3)]]
     assert set(summary["per_L"]) == {"20", "40"}
     for L in cfg.radii:
         lines = (Path(cfg.out_dir) / f"{cfg.experiment}_L{L}.csv").read_text().splitlines()
