@@ -1,10 +1,12 @@
 """Eigenvalues of H: one exact entry point and an iterative extremal solver.
 
-`solver_path` is the one rule for how the top of a Hamiltonian's spectrum is
-solved: ARPACK's Lanczos under `solver = lanczos` or at d >= 2 above the
-dense cap, else the exact path of the dimension. It never raises: a cap
-exists only where a solve holds more than O(n) memory, and that is the
-dense cap on a d >= 2 full spectrum alone, which `ids` takes there.
+`solver_path` is the one rule for how the top m of a Hamiltonian's spectrum
+are solved: ARPACK's Lanczos under `solver = lanczos` or at d >= 2 above the
+dense cap, on a box of more than max(2m + 2, 32) sites; else the exact path
+of the dimension, which is cheap on a small box and needs no m < n. It never
+raises: a cap exists only where a solve holds more than O(n) memory, and
+that is the dense cap on a d >= 2 full spectrum alone, which `ids` takes
+there.
 
 `full_spectrum(op, dense_cap, m=None)` is the only exact solve. At d >= 2 it
 calls the LAPACK symmetric solver (Householder reduction to tridiagonal
@@ -70,10 +72,12 @@ class Spectrum:
         return vals[::-1]
 
 
-def solver_path(dimension: int, n: int, solver: str, dense_cap: int) -> str:
-    """The path of an n-site top slice: "lanczos" for solver "lanczos" and at
-    d >= 2 above dense_cap, else "bisection" at d = 1 and "dense" at d >= 2."""
-    if solver == "lanczos" or (dimension >= 2 and n > dense_cap):
+def solver_path(dimension: int, n: int, m: int, solver: str, dense_cap: int) -> str:
+    """The path of an n-site top-m slice: "lanczos" for solver "lanczos" and
+    at d >= 2 above dense_cap, when n > max(2m + 2, 32); else "bisection" at
+    d = 1 and "dense" at d >= 2."""
+    lanczos = solver == "lanczos" or (dimension >= 2 and n > dense_cap)
+    if lanczos and n > max(2 * m + 2, 32):
         return "lanczos"
     return "bisection" if dimension == 1 else "dense"
 
@@ -195,9 +199,8 @@ def extremal_topk(
     upper bound on the operator norm. The residual of every returned pair is
     re-verified with one apply; the result is converged when ARPACK finished,
     all m values are present and every residual is at most
-    4 * tol * (2d + max|V|). Boxes of n <= max(2m + 2, 32) sites take
-    `full_spectrum`'s exact top m instead: ARPACK needs m < n, and an exact
-    solve is cheap there.
+    4 * tol * (2d + max|V|). ARPACK needs m < n; `solver_path` sends boxes
+    of n <= max(2m + 2, 32) sites to the exact path instead.
 
     Like any single-vector Lanczos, exact eigenvalue multiplicities are
     resolved only through rounding noise; random potentials have simple
@@ -206,7 +209,7 @@ def extremal_topk(
 
     Parameters
     ----------
-    m : number of extremal eigenvalues requested (1 <= m <= n).
+    m : number of extremal eigenvalues requested (1 <= m <= n - 1).
     rng : generator supplying the start vector, and any fresh direction
         ARPACK asks for; fixing it fixes the output.
     tol : relative residual target.
@@ -217,10 +220,8 @@ def extremal_topk(
     `iterations` counts the operator applications ARPACK made.
     """
     n = op.n
-    if not 1 <= m <= n:
-        raise ValueError(f"m must be in [1, {n}], got {m}")
-    if n <= max(2 * m + 2, 32):
-        return full_spectrum(op, m=m)
+    if not 1 <= m < n:
+        raise ValueError(f"m must be in [1, {n - 1}], got {m}")
     applies = 0
 
     def matvec(u: np.ndarray) -> np.ndarray:

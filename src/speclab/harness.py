@@ -147,6 +147,13 @@ def law_from_keys(family: str = "power_log", p: float = 2.0, k: int = 0,
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when built: every instance is valid.
+
+    `__post_init__` runs `validate()`, so a config from `config_from_strings`,
+    from the constructor or from `dataclasses.replace` has passed every
+    check, and nothing checks it again.
+    """
+
     experiment: str = _key(str)
     dimension: int = _key(int, 1)
     radii: tuple[int, ...] = _key(_ints, (100,))
@@ -186,14 +193,15 @@ class ExperimentConfig:
         x_min = min(candidates) if candidates else 0.5
         return max(8, math.ceil(4.0 / x_min))
 
-    def validate(self) -> None:
-        """Raise ConfigError unless the config can run.
+    def __post_init__(self) -> None:
+        self.validate()
 
-        A config that passed once returns at once: it is frozen, and the
-        calibration-bracket check costs one exact tail sum per radius.
+    def validate(self) -> None:
+        """Raise ConfigError unless the config can run, before any compute.
+
+        Called once, by `__post_init__`; the calibration-bracket check costs
+        one exact tail sum per radius.
         """
-        if self.__dict__.get("_validated"):
-            return
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         for name, least in (("trials", 1), ("workers", 1), ("solver_max_iter", 1),
@@ -204,6 +212,8 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if list(self.radii) != sorted(set(self.radii)):
             raise ConfigError("radii must be strictly increasing")
+        if self.experiment == "sample" and len(self.radii) > 1:
+            raise ConfigError("sample takes one radius")
         if self.scaling_mode not in SCALING_MODES:
             raise ConfigError(f"scaling_mode must be one of {SCALING_MODES}")
         if self.source not in ("V", "H", "both"):
@@ -215,7 +225,9 @@ class ExperimentConfig:
         if not all(0 < x < math.inf for x in self.x_grid):
             raise ConfigError("x_grid values must be positive and finite")
         # the law's own constructor rejects a non-finite p or delta
-        for name in ("alpha", "ks_threshold", "p_threshold"):
+        if not 0.0 <= self.alpha < math.inf:
+            raise ConfigError(f"alpha must be >= 0 and finite, got {self.alpha}")
+        for name in ("ks_threshold", "p_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("solver_tol", "calibration_x"):
@@ -247,11 +259,8 @@ class ExperimentConfig:
                     for L in self.radii:
                         calibration_floor(self.box(L), self.law, self.alpha,
                                           self.calibration_x)
-        except ConfigError:
-            raise
         except (ValueError, CapacityError) as exc:
             raise ConfigError(str(exc)) from exc
-        object.__setattr__(self, "_validated", True)
 
     def to_dict(self) -> dict:
         d = {
@@ -295,7 +304,7 @@ def _interval_label(a: float, b: float) -> str:
 def _solve_h(cfg: ExperimentConfig, op, trial: int, m: int) -> Spectrum:
     """The top min(m, n) of H's spectrum on the path `solver_path` picks."""
     m = min(m, op.n)
-    if solver_path(cfg.dimension, op.n, cfg.solver, cfg.dense_cap) == "lanczos":
+    if solver_path(cfg.dimension, op.n, m, cfg.solver, cfg.dense_cap) == "lanczos":
         rng = derive_stream(cfg.master_seed, trial, STREAM_SOLVER)
         return extremal_topk(op, m, rng, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     return full_spectrum(op, m=m)
@@ -486,21 +495,21 @@ def _run_tailsum(cfg: ExperimentConfig, out: Path):
     gammas = []
     for L in cfg.radii:
         spec = cfg.box(L)
-        plan = resolve_gamma(cfg.scaling_mode, spec, cfg.law, cfg.alpha,
-                             cfg.calibration_x)
-        gammas.append(plan.gamma)
+        gamma = resolve_gamma(cfg.scaling_mode, spec, cfg.law, cfg.alpha,
+                              cfg.calibration_x)
+        gammas.append(gamma)
         rows = []
-        entry = {"gamma": plan.gamma, "mode": plan.mode, "x": {}}
+        entry = {"gamma": gamma, "mode": cfg.scaling_mode, "x": {}}
         for x in cfg.x_grid:
             total, max_p, sum_sq = tail_sum_stats(spec, cfg.law, cfg.alpha,
-                                                  plan.gamma, x)
+                                                  gamma, x)
             err = abs(total - 1.0 / x)
-            rows.append([str(L), _fmt(x), plan.mode, _fmt(plan.gamma),
+            rows.append([str(L), _fmt(x), cfg.scaling_mode, _fmt(gamma),
                          _fmt(total), _fmt(err)])
             entry["x"][_fmt(x)] = {
                 "sum": total, "abs_err_vs_inv_x": err, "scaled_err": err * x,
                 "max_site_prob": max_p, "sum_sq": sum_sq,
-                "max_bound_inv_gamma_x": 1.0 / (plan.gamma * x),
+                "max_bound_inv_gamma_x": 1.0 / (gamma * x),
             }
             if x in prev_err and err * x >= prev_err[x]:
                 monotone = False
@@ -509,7 +518,7 @@ def _run_tailsum(cfg: ExperimentConfig, out: Path):
                 and cfg.alpha * cfg.law.p < cfg.dimension - 1e-12):
             theory = gamma_power(cfg.dimension, cfg.alpha, cfg.law.p, cfg.law.k, L)
             entry["gamma_power_formula"] = theory
-            entry["ratio_vs_power_formula"] = plan.gamma / theory
+            entry["ratio_vs_power_formula"] = gamma / theory
         rows_per_l[L] = rows
         summary["per_L"][str(L)] = entry
     if len(cfg.radii) > 1:
@@ -532,14 +541,13 @@ def _run_extremal(cfg: ExperimentConfig, out: Path):
     summary: dict = {"per_L": {}}
     checks: dict[str, bool] = {}
     flagged_total = 0
-    plans = {L: resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha,
-                              cfg.calibration_x) for L in cfg.radii}
-    gammas = [plan.gamma for plan in plans.values()]
-    by_radius = _map_radii(cfg, _extremal_trial, lambda L, t: (cfg, L, plans[L].gamma, t))
-    for L, plan in plans.items():
+    gammas = {L: resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha,
+                               cfg.calibration_x) for L in cfg.radii}
+    by_radius = _map_radii(cfg, _extremal_trial, lambda L, t: (cfg, L, gammas[L], t))
+    for L, gamma in gammas.items():
         results = by_radius[L]
         rows = []
-        entry: dict = {"gamma": plan.gamma, "mode": plan.mode, "sources": {}}
+        entry: dict = {"gamma": gamma, "mode": cfg.scaling_mode, "sources": {}}
         for res in results:
             for source in sources:
                 r = res[source]
@@ -590,7 +598,7 @@ def _run_extremal(cfg: ExperimentConfig, out: Path):
         summary["per_L"][str(L)] = entry
     if len(cfg.radii) > 1:
         checks["gamma_increasing_along_ladder"] = all(
-            b > a for a, b in zip(gammas, gammas[1:])
+            gammas[b] > gammas[a] for a, b in zip(cfg.radii, cfg.radii[1:])
         )
     solver_failed = flagged_total > MAX_FLAGGED_FRACTION * cfg.trials * len(cfg.radii) * len(sources)
     summary["flagged_trials_total"] = flagged_total
@@ -728,7 +736,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     `_pin_blas`.
     """
     blas_threads = _pin_blas()
-    cfg.validate()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -812,6 +819,4 @@ def config_from_strings(raw: dict) -> ExperimentConfig:
         law = law_from_keys(**{k: values.pop(k) for k in LAW_KEYS if k in values})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = ExperimentConfig(law=law, **{CONFIG_KEYS[k][0]: v for k, v in values.items()})
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(law=law, **{CONFIG_KEYS[k][0]: v for k, v in values.items()})

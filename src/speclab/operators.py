@@ -117,9 +117,9 @@ class LatticeOperator:
         check_dense_cap(n, dense_cap)
         H = np.zeros((n, n))
         np.fill_diagonal(H, self.diagonal)
-        for i, j in self.hop_pairs():
-            H[i, j] = 1.0
-            H[j, i] = 1.0
+        i, j = self.hop_pairs().T
+        H[i, j] = 1.0
+        H[j, i] = 1.0
         return H
 
     def hop_pairs(self) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -221,38 +220,18 @@ def gamma_calibrated(
     raise ConvergenceError("gamma bisection did not converge")
 
 
-@dataclass(frozen=True)
-class ScalingPlan:
-    """Resolved normalization for one box, with the constants that built it."""
-
-    mode: str
-    gamma: float
-    constants: dict = field(default_factory=dict)
-
-
 def resolve_gamma(
     mode: str,
     spec: BoxSpec,
     law: TailLaw,
     alpha: float,
     target_x: float = 1.0,
-) -> ScalingPlan:
-    """Dispatch to the normalization for `mode`, validating the regime."""
+) -> float:
+    """Gamma_L of the box under `mode`, validating the regime first."""
     check_regime(mode, spec.dimension, law, alpha)
-    d, L = spec.dimension, spec.radius
     if mode == "flat":
-        return ScalingPlan("flat", gamma_flat(spec), {"site_count": spec.site_count})
+        return gamma_flat(spec)
     if mode == "calibrated":
-        gamma = gamma_calibrated(spec, law, alpha, target_x)
-        return ScalingPlan("calibrated", gamma, {"target_x": target_x})
-    p, k = law.p, law.k
-    if mode == "power":
-        coeff = power_mode_coefficient(d, alpha, p, k)
-        return ScalingPlan(
-            "power", gamma_power(d, alpha, p, k, L),
-            {"coefficient": coeff, "exponent": d - alpha * p},
-        )
-    coeff = critical_mode_coefficient(d, p, k)
-    return ScalingPlan(
-        "critical", gamma_critical(d, alpha, p, k, L), {"coefficient": coeff}
-    )
+        return gamma_calibrated(spec, law, alpha, target_x)
+    gamma = gamma_power if mode == "power" else gamma_critical
+    return gamma(spec.dimension, alpha, law.p, law.k, spec.radius)

@@ -43,6 +43,7 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 # --- the solver path rule ------------------------------------------------------
 
 CAP = DENSE_CAP_DEFAULT
+TOP_M = 8  # the default top_m
 
 
 @pytest.mark.parametrize("d, n, solver, dense_cap, expected", [
@@ -53,12 +54,28 @@ CAP = DENSE_CAP_DEFAULT
     # auto at d >= 2: a dense slice up to dense_cap, Lanczos above it
     (2, CAP, "auto", CAP, "dense"),
     (2, CAP + 1, "auto", CAP, "lanczos"),
-    # lanczos is taken at any size
-    (1, 3, "lanczos", CAP, "lanczos"),
-    (2, 3, "lanczos", CAP, "lanczos"),
+    # Lanczos, under lanczos or auto's d >= 2 path, is taken above
+    # max(2m + 2, 32) = 32 sites, and the exact path at or below
+    (1, 3, "lanczos", CAP, "bisection"),
+    (2, 3, "lanczos", CAP, "dense"),
+    (1, 31, "lanczos", CAP, "bisection"),
+    (1, 33, "lanczos", CAP, "lanczos"),
+    (2, 25, "lanczos", CAP, "dense"),
+    (2, 25, "auto", 10, "dense"),
+    (2, 49, "auto", 10, "lanczos"),
 ])
 def test_solver_path_table(d, n, solver, dense_cap, expected):
-    assert solver_path(d, n, solver, dense_cap) == expected
+    assert solver_path(d, n, TOP_M, solver, dense_cap) == expected
+
+
+@pytest.mark.parametrize("m, n, expected", [
+    # from m = 16 the edge is 2m + 2 sites, so it moves with m
+    (15, 32, "bisection"), (15, 33, "lanczos"),
+    (16, 34, "bisection"), (16, 35, "lanczos"),
+    (100, 202, "bisection"), (100, 203, "lanczos"),
+])
+def test_solver_path_edge_moves_with_m(m, n, expected):
+    assert solver_path(1, n, m, "lanczos", CAP) == expected
 
 
 @pytest.mark.parametrize("d, n, dense_cap, error", [
@@ -68,7 +85,7 @@ def test_solver_path_table(d, n, solver, dense_cap, expected):
     (2, CAP + 1, CAP, f"{CAP + 1} sites exceeds dense cap {CAP}"),
 ])
 def test_full_spectrum_caps(d, n, dense_cap, error):
-    assert solver_path(d, n, "auto", dense_cap) == ("dense" if error is None else "lanczos")
+    assert solver_path(d, n, TOP_M, "auto", dense_cap) == ("dense" if error is None else "lanczos")
     if error is None:
         check_dense_cap(n, dense_cap)
     else:
@@ -185,14 +202,15 @@ def test_capped_run_is_flagged_with_one_residual_per_value():
     assert np.all(np.diff(s.values) >= 0)
 
 
-@pytest.mark.parametrize("L, method", [(15, "bisection"), (16, "lanczos")])
-def test_topk_at_the_dense_threshold(L, method):
-    # at m = 8, boxes up to max(2m + 2, 32) = 32 sites take the exact top m
+@pytest.mark.parametrize("L, path", [(15, "bisection"), (16, "lanczos")])
+def test_topk_at_the_dense_threshold(L, path):
+    # at m = 8, boxes up to max(2m + 2, 32) = 32 sites take the exact top m;
+    # ARPACK itself agrees with dense on both sides of that edge
     spec, pot = make_instance(1, L, seed=1)
     op = build_hamiltonian(spec, pot)
+    assert op.n == 2 * L + 1 and solver_path(1, op.n, 8, "lanczos", CAP) == path
     s = extremal_topk(op, 8, solver_rng(1))
-    assert op.n == 2 * L + 1 and s.method == method
-    assert s.converged
+    assert s.method == "lanczos" and s.converged
     dense = dense_eigs(op)[-8:]
     assert np.max(np.abs(s.values - dense)) <= 1e-8 * op.norm_bound()
 
@@ -375,18 +393,21 @@ def test_positive_descending_filter():
 def test_topk_m_validation():
     spec, pot = make_instance(1, 10)
     op = build_hamiltonian(spec, pot)
-    with pytest.raises(ValueError):
-        extremal_topk(op, 0, solver_rng())
-    with pytest.raises(ValueError):
-        extremal_topk(op, 22, solver_rng())
+    # ARPACK needs 1 <= m <= n - 1: the rule sends m = n to the exact path
+    for m in (0, op.n, op.n + 1):
+        with pytest.raises(ValueError, match=r"^m must be in \[1, 20\]"):
+            extremal_topk(op, m, solver_rng())
 
 
 def test_small_instances_use_exact_path():
+    # 17 sites at m = 2: even under lanczos the rule takes bisection, and
+    # both paths agree with dense there
     spec, pot = make_instance(1, 8)
     op = build_hamiltonian(spec, pot)
-    s = extremal_topk(op, 2, solver_rng())
+    assert solver_path(1, op.n, 2, "lanczos", CAP) == "bisection"
     dense = dense_eigs(op)[-2:]
-    np.testing.assert_allclose(s.values, dense, atol=1e-12)
+    for s in (full_spectrum(op, m=2), extremal_topk(op, 2, solver_rng())):
+        np.testing.assert_allclose(s.values, dense, atol=1e-12)
 
 
 def test_lanczos_on_free_operator_with_degenerate_levels():

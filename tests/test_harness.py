@@ -136,6 +136,10 @@ def test_config_validation_failures():
         parse_config_text(CONFIG_TEXT, {"alpha": "0.5"})
     with pytest.raises(ConfigError):  # alpha*p > d rejected outright
         parse_config_text(CONFIG_TEXT, {"alpha": "1.0", "scaling_mode": "power"})
+    with pytest.raises(ConfigError, match="^alpha must be >= 0"):
+        parse_config_text((CONFIGS_DIR / "tailsum.cfg").read_text(), {"alpha": "-0.5"})
+    with pytest.raises(ConfigError, match="^sample takes one radius$"):
+        parse_config_text((CONFIGS_DIR / "sample.cfg").read_text(), {"radii": "2,3"})
 
 
 def test_calibration_bracket_checked_at_every_radius():
@@ -152,19 +156,22 @@ def test_calibration_bracket_checked_at_every_radius():
         "calibration_x = 1e-9\nradii = 5\nx_grid = 6\n")
 
 
-def test_a_validated_config_is_not_checked_again(monkeypatch):
+def test_a_validated_config_is_not_checked_again(tmp_path, monkeypatch):
+    # a config is checked once, when it is built
     calls = []
     floor = harness.calibration_floor
     monkeypatch.setattr(harness, "calibration_floor",
                         lambda *args: calls.append(args) or floor(*args))
     cfg = parse_config_text(CONFIG_TEXT, {"alpha": "0.5", "scaling_mode": "calibrated",
-                                          "radii": "3,5", "calibration_x": "0.4"})
+                                          "radii": "3,5", "calibration_x": "0.4",
+                                          "trials": "1", "source": "V",
+                                          "out": str(tmp_path / "run")})
     assert len(calls) == 2
-    cfg.validate()
+    assert run_experiment(cfg)["exit_code"] == 0
     assert len(calls) == 2
     # a changed copy is a new config and is checked in full
     with pytest.raises(ConfigError, match="no bracket"):
-        replace(cfg, calibration_x=0.3).validate()
+        replace(cfg, calibration_x=0.3)
     assert len(calls) == 3
 
 
@@ -821,6 +828,7 @@ def test_cli_usage_error_exit_1(tmp_path):
     ["--x-grid", ""],
     ["--alpha", "nan", "--scaling-mode", "calibrated"],
     ["--alpha", "inf", "--scaling-mode", "calibrated"],
+    ["--alpha", "-0.5", "--scaling-mode", "calibrated"],
     ["--p", "inf"],
     ["--p", "nan"],
     ["--p", "0"],

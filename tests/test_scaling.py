@@ -231,14 +231,12 @@ def test_gamma_calibrated_achieves_target():
 def test_resolve_gamma_dispatch():
     spec = BoxSpec(1, 1000)
     law = power_log(2.0, 0)
-    plan = resolve_gamma("flat", spec, law, 0.0)
-    assert plan.gamma == 2001.0 and plan.mode == "flat"
-    plan = resolve_gamma("power", spec, law, 0.25)
-    assert plan.gamma == pytest.approx(gamma_power(1, 0.25, 2.0, 0, 1000))
-    plan = resolve_gamma("critical", spec, law, 0.5)
-    assert plan.gamma == pytest.approx(gamma_critical(1, 0.5, 2.0, 0, 1000))
-    plan = resolve_gamma("calibrated", spec, law, 0.0)
-    assert plan.gamma == 2001.0
+    assert resolve_gamma("flat", spec, law, 0.0) == 2001.0
+    gamma = resolve_gamma("power", spec, law, 0.25)
+    assert gamma == pytest.approx(gamma_power(1, 0.25, 2.0, 0, 1000))
+    gamma = resolve_gamma("critical", spec, law, 0.5)
+    assert gamma == pytest.approx(gamma_critical(1, 0.5, 2.0, 0, 1000))
+    assert resolve_gamma("calibrated", spec, law, 0.0) == 2001.0
 
 
 def test_calibration_floor_raises_without_a_bracket():
