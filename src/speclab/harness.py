@@ -210,6 +210,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        if not self.radii:
+            raise ConfigError("radii must not be empty")
         if list(self.radii) != sorted(set(self.radii)):
             raise ConfigError("radii must be strictly increasing")
         if self.experiment == "sample" and len(self.radii) > 1:
@@ -468,7 +470,7 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     if workers <= 1:
         return [worker(p) for p in payloads]
     # load the trials' solver stack once here, so forked workers inherit it
-    import scipy.linalg, scipy.sparse.linalg, scipy.special  # noqa: E401,F401
+    import scipy.linalg, scipy.sparse.linalg  # noqa: E401,F401
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
         return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
 

@@ -142,6 +142,20 @@ def test_config_validation_failures():
         parse_config_text((CONFIGS_DIR / "sample.cfg").read_text(), {"radii": "2,3"})
 
 
+@pytest.mark.parametrize("experiment", ["extremal", "sandwich"])
+def test_empty_radii_rejected_before_any_compute(experiment, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match="^radii must not be empty$"):
+        ExperimentConfig(experiment=experiment, radii=())
+    # the command line cannot spell an empty ladder; a config built from
+    # Python that has none is still a usage error: one line, exit 1
+    monkeypatch.setattr("speclab.cli.parse_config_text", lambda text, overrides:
+                        ExperimentConfig(experiment=experiment, radii=(),
+                                         out_dir=str(tmp_path / "out")))
+    assert cli_main([experiment]) == EXIT_USAGE == 1
+    assert capsys.readouterr().err == "speclab: error: radii must not be empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_calibration_bracket_checked_at_every_radius():
     # at the least gamma the tail sum is 3.17 at L = 3 and 9.39 at L = 100
     # (p = 2, alpha = 0.5), so 1/x = 5 is reached at L = 100 only

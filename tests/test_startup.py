@@ -49,6 +49,7 @@ from speclab import harness
 from speclab.harness import parse_config_text
 
 SOLVER_STACK = ("scipy.linalg", "scipy.sparse.linalg", "scipy.special")
+# scipy.special is listed to show it is not loaded: no trial calls it
 before = [m for m in SOLVER_STACK if m in sys.modules]
 at_pool = []
 
@@ -75,4 +76,27 @@ harness._map_trials(cfg, str, list(range(4)))
 print(json.dumps({"before": before, "at_pool": at_pool}))
 """)
     assert out == {"before": [],
-                   "at_pool": [["scipy.linalg", "scipy.sparse.linalg", "scipy.special"]]}
+                   "at_pool": [["scipy.linalg", "scipy.sparse.linalg"]]}
+
+
+def test_sandwich_and_ids_runs_load_no_scipy_special():
+    # no trial calls scipy.special: k >= 1 tails invert by real Newton steps.
+    # Only a critical-mode gamma with k >= 1 reaches Lambert W
+    # (scaling.h_inv), in the parent, and neither config asks for one
+    out = run_fresh("""
+import json, sys, tempfile
+from pathlib import Path
+from speclab.harness import parse_config_text, run_experiment
+
+codes = []
+with tempfile.TemporaryDirectory() as tmp:
+    for name, small in (("sandwich", {"radii": "5,10", "trials": "40"}),
+                        ("ids", {"radii": "20,40", "trials": "2"})):
+        # one serial run, whose trials run here, and one over the pool
+        for workers in ("1", "2"):
+            overrides = dict(small, workers=workers, out=str(Path(tmp) / name / workers))
+            cfg = parse_config_text(Path(f"configs/{name}.cfg").read_text(), overrides)
+            codes.append(run_experiment(cfg)["exit_code"])
+print(json.dumps({"codes": codes, "special": "scipy.special" in sys.modules}))
+""")
+    assert out == {"codes": [0, 0, 0, 0], "special": False}

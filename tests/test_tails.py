@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from speclab.scaling import ConvergenceError, h_inv
 from speclab.tails import (
@@ -15,7 +15,7 @@ from speclab.tails import (
     stretched_exp,
     tail_prob,
 )
-from tails_oracle import sample_omega, site_tail_prob
+from tails_oracle import lambert_f_inv, sample_omega, site_tail_prob
 
 ALL_LAWS = [
     power_log(2.0, 0),
@@ -264,6 +264,40 @@ def test_closed_form_matches_root_finder(law):
             assert got == pytest.approx(want, rel=1e-10)
         checked += 1
     assert checked >= 50
+
+
+# log(y / f(clamp)) from log(1 + 1e-14) to log(2**53), the largest 1/u a
+# sampled uniform gives
+_LOG_GAP_LO, _LOG_GAP_HI = math.log1p(1e-14), 53 * math.log(2.0)
+
+
+@PROPERTY_SETTINGS
+@given(p=st.floats(0.1, 10.0), k=st.integers(1, 5),
+       heights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+# k > e*p: the clamp is itself a root of f = 1, not the branch point e^(k/p)
+@example(p=0.1, k=5, heights=[0.0, 0.3, 0.6, 1.0])
+@example(p=1.0, k=3, heights=[0.0, 0.3, 0.6, 1.0])
+@example(p=10.0, k=1, heights=[0.0, 0.3, 0.6, 1.0])
+def test_newton_inverse_matches_lambert_oracle(p, k, heights):
+    law = power_log(p, k)
+    fc = law.f_at_clamp
+    log_gap = _LOG_GAP_LO * (_LOG_GAP_HI / _LOG_GAP_LO) ** np.asarray(heights)
+    u = np.exp(-log_gap) / fc
+    y = np.maximum(1.0 / u, fc)
+    x = sample_omega_array(law, u)
+    assert np.all(np.abs(f_eval(law, x) - y) <= 1e-12 * y)
+    # next to the branch point f is flat in x, so a rounding of y moves x by
+    # kappa = s/(p*s - k) times as much, s = log(x): the agreement is relative
+    # to that condition number
+    s = np.log(x)
+    kappa = np.maximum(1.0, s / (p * s - k))
+    want = lambert_f_inv(law, y)
+    assert np.all(np.abs(x - want) <= 1e-12 * kappa * want)
+    assert np.all(x >= law.clamp_point)
+    # nondecreasing in y wherever the y differ by more than rounding
+    order = np.argsort(y)
+    apart = y[order][1:] > y[order][:-1] * (1.0 + 1e-12)
+    assert np.all(np.diff(x[order])[apart] >= 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
