@@ -100,3 +100,32 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps({"codes": codes, "special": "scipy.special" in sys.modules}))
 """)
     assert out == {"codes": [0, 0, 0, 0], "special": False}
+
+
+def test_extremal_and_maxlaw_runs_load_no_scipy_stats():
+    # the max-law KS tail, the Poisson pmf and tails and the chi-square tail
+    # need only scipy.special. maxlaw counts no intervals, so only the
+    # extremal run has Poisson reports
+    out = run_fresh("""
+import json, sys, tempfile
+from pathlib import Path
+from speclab.harness import parse_config_text, run_experiment
+
+runs = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, small in (("maxlaw", {"radii": "50"}),
+                        ("extremal", {"radii": "50", "source": "both",
+                                      "intervals": "1:2,2:inf"})):
+        overrides = dict(small, trials="100", workers="1", out=str(Path(tmp) / name))
+        cfg = parse_config_text(Path(f"configs/{name}.cfg").read_text(), overrides)
+        summary = run_experiment(cfg)
+        written = json.loads((Path(tmp) / name / f"{name}_summary.json").read_text())
+        runs[name] = {"code": summary["exit_code"],
+                      "reports": {src: sorted(k for k in entry if k != "flagged_trials")
+                                  for src, entry in written["per_L"]["50"]["sources"].items()}}
+print(json.dumps({"runs": runs, "stats": "scipy.stats" in sys.modules}))
+""")
+    reports = ["max_law", "poisson_gof", "poisson_joint_gof"]
+    assert out == {"runs": {"maxlaw": {"code": 0, "reports": {"V": ["max_law"]}},
+                            "extremal": {"code": 0, "reports": {"H": reports, "V": reports}}},
+                   "stats": False}

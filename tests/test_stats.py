@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from speclab.stats import (
     fit_lower_envelope_constant,
     interval_intensity,
     ks_distance,
+    kstwo_sf,
     levy_distance,
     max_law_test,
     max_limit_cdf,
@@ -292,6 +294,46 @@ def test_joint_gof_shape_validation():
         poisson_joint_gof(np.zeros((10, 2)), [(1.0, 2.0), (2.0, INF)])
 
 
+@st.composite
+def trial_counts(draw, n_intervals: int):
+    """Per-trial interval counts, one row per trial and at least 100 rows:
+    Poisson draws at a drawn mean, or arbitrary small counts that no Poisson
+    law fits."""
+    n = draw(st.integers(100, 400))
+    if draw(st.booleans()):
+        mean = draw(st.floats(0.05, 4.0))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        counts = rng.poisson(mean, size=(n, n_intervals))
+    else:
+        cells = st.lists(st.integers(0, 6), min_size=n_intervals, max_size=n_intervals)
+        counts = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    return counts
+
+
+@st.composite
+def disjoint_intervals(draw, k: int):
+    edges = sorted(draw(st.lists(st.floats(0.2, 8.0), min_size=k + 1, max_size=k + 1,
+                                 unique=True)))
+    if draw(st.booleans()):
+        edges[-1] = INF
+    return [(edges[i], edges[i + 1]) for i in range(k)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), min_expected=st.sampled_from([5.0, 1.0, 20.0]))
+def test_gof_reports_equal_the_scipy_stats_versions(data, min_expected):
+    # the Poisson pmf and both tails from scipy.special are the formulas
+    # scipy.stats evaluates: every float of both reports is the same
+    k = data.draw(st.integers(1, 3))
+    intervals = data.draw(disjoint_intervals(k))
+    counts = data.draw(trial_counts(k))
+    for i in range(k):
+        assert (poisson_gof(counts[:, i], intervals[i], min_expected)
+                == stats_oracle.poisson_gof(counts[:, i], intervals[i], min_expected))
+    assert (poisson_joint_gof(counts, intervals, min_expected)
+            == stats_oracle.poisson_joint_gof(counts, intervals, min_expected))
+
+
 def test_weyl_event_inclusions_per_realization():
     # {E1(V) <= x - 2d} subset {E1(H) <= x} subset {E1(V) <= x + 2d}
     from speclab.harness import derive_stream
@@ -338,6 +380,82 @@ def test_max_law_detects_wrong_distribution():
     rng = np.random.default_rng(21)
     rep = max_law_test(rng.random(2000) + 0.5)
     assert rep.p_value < 1e-6
+
+
+def test_max_law_p_value_is_the_kstwo_tail():
+    rng = np.random.default_rng(23)
+    rep = max_law_test(max_limit_sample(rng.random(300)))
+    assert rep.p_value == kstwo_sf(rep.statistic, 300)
+
+
+# --- KS tail ------------------------------------------------------------------
+
+KS_NS = (1, 2, 5, 100, 140, 141, 500, 2000)
+
+
+def ks_regime_grid(n: int) -> list[float]:
+    """d in every regime of `kstwo_sf` at n: n d <= 1/2, n d <= 1, the
+    Durbin matrix, both sides of the 2 smirnov switch at n d^2 = 4, d >= 1/2,
+    n d >= n - 1 and d >= 1."""
+    switch = math.sqrt(stats._SMIRNOV_FROM / n)
+    grid = [0.3 / n, 0.5 / n, 0.5 / n + 1e-9 / n, 0.75 / n, 1.0 / n,
+            math.sqrt(0.3 / n), math.sqrt(1.0 / n), math.sqrt(2.0 / n),
+            switch * 0.99, float(np.nextafter(switch, 0.0)), switch, switch * 1.01,
+            math.sqrt(7.0 / n), float(np.nextafter(0.5, 0.0)), 0.5, 0.75,
+            1.0 - 1.0 / n, 1.0 - 0.25 / n, 1.0, 1.5]
+    return sorted({d for d in grid if d > 0})
+
+
+def ks_oracle(d: float, n: int):
+    """The 50-digit Durbin tail, or twice the 50-digit one-sided tail. That
+    is exact for d >= 1/2 and bounds the tail above for any d; below 1/2 it
+    stands in only past m = 300, where the bound is below 1e-30."""
+    if 0.5 <= d < 1.0 or n * d > 150:
+        bound = 2 * stats_oracle.smirnov_mp(d, n)
+        assert d >= 0.5 or bound < 1e-30
+        return bound
+    return stats_oracle.kstwo_sf_mp(d, n)
+
+
+def test_ks_oracle_matches_a_plain_mpmath_matrix_power():
+    for n, d in ((5, 0.3), (5, 0.45), (40, 0.31), (100, 0.13), (141, 0.16), (2, 0.3)):
+        exact = stats_oracle.kstwo_sf_mp_matrix(d, n, dps=70)
+        assert abs(stats_oracle.kstwo_sf_mp(d, n) - exact) <= 1e-50 * exact
+
+
+@pytest.mark.parametrize("n", KS_NS)
+def test_kstwo_sf_matches_the_durbin_oracle(n):
+    for d in ks_regime_grid(n):
+        p = kstwo_sf(d, n)
+        exact = ks_oracle(d, n)
+        assert 0.0 <= p <= 1.0
+        assert abs(p - exact) <= 1e-12, (d, p, exact)
+        if exact >= 1e-6:
+            assert abs(p - exact) <= 1e-9 * exact, (d, p, exact)
+
+
+@pytest.mark.parametrize("n", KS_NS)
+def test_kstwo_sf_is_a_nonincreasing_probability(n):
+    switch = math.sqrt(stats._SMIRNOV_FROM / n)
+    d = np.unique(np.concatenate([np.linspace(0.0, 1.2, 601), np.geomspace(0.1 / n, 1.0, 400),
+                                  switch * (1.0 + np.array([-1e-6, 0.0, 1e-6]))]))
+    p = np.array([kstwo_sf(x, n) for x in d])
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.all(np.diff(p) <= 0.0)
+    assert p[0] == 1.0 and p[-1] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 100, 140])
+def test_kstwo_sf_matches_scipy_where_scipy_is_exact(n):
+    # SciPy's kstwo is exact up to n = 140 (asymptotic above)
+    for d in np.concatenate([np.linspace(0.0, 1.1, 221), ks_regime_grid(n)]):
+        assert kstwo_sf(d, n) == pytest.approx(scipy.stats.kstwo.sf(d, n), rel=1e-10, abs=0.0)
+
+
+def test_kstwo_sf_at_ten_thousand_draws_meets_the_smirnov_tail():
+    # the largest Durbin matrix at n = 10^4, 399 x 399, just below the switch
+    d = float(np.nextafter(math.sqrt(stats._SMIRNOV_FROM / 10_000), 0.0))
+    assert kstwo_sf(d, 10_000) == pytest.approx(2 * scipy.special.smirnov(10_000, d), rel=1e-9)
 
 
 # --- exact max CDF ----------------------------------------------------------------
