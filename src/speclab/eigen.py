@@ -82,6 +82,13 @@ def solver_path(dimension: int, n: int, m: int, solver: str, dense_cap: int) -> 
     return "bisection" if dimension == 1 else "dense"
 
 
+# the SciPy module each of solver_path's paths calls; scipy.sparse.linalg
+# imports scipy.linalg itself, so a Lanczos trial whose m grows into the
+# exact path finds that loaded too
+PATH_MODULES = {"lanczos": "scipy.sparse.linalg", "bisection": "scipy.linalg",
+                "dense": "scipy.linalg"}
+
+
 def full_spectrum(
     op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT, m: int | None = None
 ) -> Spectrum:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import importlib
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .operators import (
 from .eigen import (
     LANCZOS_MAX_ITER_DEFAULT,
     LANCZOS_TOL_DEFAULT,
+    PATH_MODULES,
     Spectrum,
     count_le,
     extremal_topk,
@@ -229,9 +231,11 @@ class ExperimentConfig:
         # the law's own constructor rejects a non-finite p or delta
         if not 0.0 <= self.alpha < math.inf:
             raise ConfigError(f"alpha must be >= 0 and finite, got {self.alpha}")
+        # a KS distance and a p-value lie in [0, 1]: a threshold outside it
+        # makes its checks pass or fail whatever the data
         for name in ("ks_threshold", "p_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name in ("solver_tol", "calibration_x"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -310,6 +314,22 @@ def _solve_h(cfg: ExperimentConfig, op, trial: int, m: int) -> Spectrum:
         rng = derive_stream(cfg.master_seed, trial, STREAM_SOLVER)
         return extremal_topk(op, m, rng, tol=cfg.solver_tol, max_iter=cfg.solver_max_iter)
     return full_spectrum(op, m=m)
+
+
+def _solve_paths(cfg: ExperimentConfig) -> set[str]:
+    """The `solver_path` names a config's mapped trials can take.
+
+    None for `ids` at d = 1, whose trials only count, and for `source = V`,
+    whose trials solve nothing; "dense" for `ids` at d >= 2; else the path of
+    each radius's top-m solve, m = `resolved_top_m()`, or 1 for `sandwich`.
+    """
+    if cfg.experiment == "ids":
+        return set() if cfg.dimension == 1 else {"dense"}
+    if cfg.experiment != "sandwich" and cfg.source == "V":
+        return set()
+    m = 1 if cfg.experiment == "sandwich" else cfg.resolved_top_m()
+    return {solver_path(cfg.dimension, cfg.box(L).site_count, m, cfg.solver, cfg.dense_cap)
+            for L in cfg.radii}
 
 
 def _extremal_trial(args):
@@ -469,8 +489,16 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     workers = min(cfg.workers, len(payloads), cores)
     if workers <= 1:
         return [worker(p) for p in payloads]
-    # load the trials' solver stack once here, so forked workers inherit it
-    import scipy.linalg, scipy.sparse.linalg  # noqa: E401,F401
+    # load once, before the fork, what the trials import and no more, so the
+    # workers inherit it: the SciPy module of each path their solves take
+    # (none when they solve nothing), numpy.random for every trial's
+    # derive_stream, and numpy.ma, which np.unique in SpectrumCounts.__call__
+    # loads lazily. scipy.linalg brings both numpy modules, but a run
+    # without it must load them here, or every worker of every run imports
+    # them again
+    for name in sorted({"numpy.random", "numpy.ma",
+                        *(PATH_MODULES[path] for path in _solve_paths(cfg))}):
+        importlib.import_module(name)
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
         return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
 

@@ -965,7 +965,16 @@ def test_seed_range_bounds_accepted():
       "--calibration-x", "0.01"], True),
     (["extremal", "--dimension", "2", "--L", "5", "--alpha", "0.5",
       "--scaling-mode", "calibrated", "--calibration-x", "1e-9"], True),
-], ids=["capacity", "dense_cap", "no_bracket", "no_bracket_tiny_x"])
+    # a threshold outside [0, 1], the range of a p-value and of a KS
+    # distance, would pass or fail its checks whatever the data
+    (["extremal", "--L", "20", "--p-threshold", "-0.5"], True),
+    (["extremal", "--L", "20", "--p-threshold", "1.5"], True),
+    (["extremal", "--L", "20", "--ks-threshold", "-1"], True),
+    (["ids", "--L", "20", "--ks-threshold", "2"], True),
+    (["maxlaw", "--L", "20", "--p-threshold", "nan"], True),
+], ids=["capacity", "dense_cap", "no_bracket", "no_bracket_tiny_x", "p_threshold_below_0",
+        "p_threshold_above_1", "ks_threshold_below_0", "ks_threshold_above_1",
+        "p_threshold_nan"])
 def test_cli_maps_library_errors_to_exit_1(tmp_path, capsys, argv, before_compute):
     out = tmp_path / "o"
     assert cli_main(argv + ["--out", str(out)]) == EXIT_USAGE

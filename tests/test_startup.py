@@ -3,11 +3,14 @@
 Each test runs its script in a new interpreter, because this test session
 has long since imported SciPy's solver and stats stacks itself.
 """
+import functools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,23 +44,40 @@ print(json.dumps({"configs": len(configs), "code": code,
     assert out == {"configs": 6, "code": 1, "loaded": []}
 
 
-def test_pool_is_built_after_the_solver_stack_is_loaded():
-    out = run_fresh("""
-import json, sys
+# one small run per path rule, as (config, overrides, the SciPy solver
+# modules its trials call): sandwich bisects, extremal runs Lanczos, maxlaw
+# (source V) and a d = 1 ids solve nothing, and a d >= 2 ids takes the dense
+# spectrum
+POOL_RUNS = {
+    "sandwich": ("sandwich", {"radii": "5,10", "trials": "4"}, ["scipy.linalg"]),
+    "extremal": ("extremal", {"radii": "50", "trials": "2"},
+                 ["scipy.linalg", "scipy.sparse.linalg"]),
+    "maxlaw": ("maxlaw", {"radii": "50", "trials": "2"}, []),
+    "ids": ("ids", {"radii": "20,40", "trials": "2"}, []),
+    "ids_d2": ("ids", {"dimension": "2", "radii": "3", "trials": "2"}, ["scipy.linalg"]),
+}
+WATCHED = ("numpy.random", "numpy.ma", "scipy.linalg", "scipy.sparse.linalg", "scipy.special")
+
+
+@functools.cache
+def pooled_run(case: str) -> dict:
+    """One `run_experiment` of a POOL_RUNS case at 2 workers in a fresh
+    interpreter, over a pool that records which WATCHED modules are loaded
+    when it is built and then maps the trials in process, recording every
+    module they import."""
+    name, small, _ = POOL_RUNS[case]
+    return run_fresh(f"""
+import json, sys, tempfile
 from pathlib import Path
 from speclab import harness
-from speclab.harness import parse_config_text
+from speclab.harness import parse_config_text, run_experiment
 
-SOLVER_STACK = ("scipy.linalg", "scipy.sparse.linalg", "scipy.special")
-# scipy.special is listed to show it is not loaded: no trial calls it
-before = [m for m in SOLVER_STACK if m in sys.modules]
-at_pool = []
+record = {{}}
 
 
 class RecordingPool:
-    # records which of the solver stack is loaded when the pool is built
     def __init__(self, max_workers, initializer=None):
-        at_pool.append([m for m in SOLVER_STACK if m in sys.modules])
+        record["at_pool"] = [m for m in {WATCHED!r} if m in sys.modules]
 
     def __enter__(self):
         return self
@@ -66,17 +86,39 @@ class RecordingPool:
         return False
 
     def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+        before = set(sys.modules)
+        results = [fn(item) for item in items]
+        record["imported_by_trials"] = sorted(set(sys.modules) - before)
+        return results
 
 
 harness.ProcessPoolExecutor = RecordingPool
-harness.os.sched_getaffinity = lambda pid: {0, 1}
-cfg = parse_config_text(Path("configs/sandwich.cfg").read_text(), {"workers": "2"})
-harness._map_trials(cfg, str, list(range(4)))
-print(json.dumps({"before": before, "at_pool": at_pool}))
+harness.os.sched_getaffinity = lambda pid: {{0, 1}}
+with tempfile.TemporaryDirectory() as tmp:
+    overrides = dict({small!r}, workers="2", out=tmp)
+    cfg = parse_config_text(Path("configs/{name}.cfg").read_text(), overrides)
+    record["code"] = run_experiment(cfg)["exit_code"]
+print(json.dumps(record))
 """)
-    assert out == {"before": [],
-                   "at_pool": [["scipy.linalg", "scipy.sparse.linalg"]]}
+
+
+@pytest.mark.parametrize("case", list(POOL_RUNS))
+def test_pool_is_built_after_the_solver_stack_is_loaded(case):
+    # before the fork: the module of each path the trials take, and numpy's
+    # two that every trial needs; scipy.special is watched to show it is not
+    # loaded by then, since no trial calls it
+    out = pooled_run(case)
+    assert out["code"] == 0
+    assert out["at_pool"] == ["numpy.random", "numpy.ma"] + POOL_RUNS[case][2]
+
+
+@pytest.mark.parametrize("case", list(POOL_RUNS))
+def test_a_trial_imports_nothing_its_pool_did_not_preload(case):
+    # a module a trial imports would be imported again by every worker of
+    # every run
+    out = pooled_run(case)
+    assert out["code"] == 0
+    assert out["imported_by_trials"] == []
 
 
 def test_sandwich_and_ids_runs_load_no_scipy_special():
