@@ -5,7 +5,7 @@ P(f(V(n))/Gamma_L >= x) converge to 1/x. Closed forms exist for the
 power-log family: a pure power of L in the subcritical regime alpha*p < d,
 and an inverse of h_k(x) = x*log(x)**k at criticality alpha*p = d. For
 alpha = 0 the exact choice is the site count. A calibrated mode solves for
-Gamma_L numerically from the exact finite-box sum, which sidesteps the
+Gamma_L numerically from the exact finite-box sum at x = 1, which sidesteps the
 cube-versus-ball ambiguity of the closed-form constants in d >= 2.
 
 Every exact tail sum (`tail_sum_stats`, `calibration_floor` and each step of
@@ -29,7 +29,7 @@ SCALING_MODES = ("power", "critical", "flat", "calibrated")
 
 REGIME_TOL = 1e-12
 
-# gamma_calibrated stops when the tail sum is this close to 1/x, relatively
+# gamma_calibrated stops when the tail sum is this close to 1, relatively
 CALIBRATION_RTOL = 1e-9
 CALIBRATION_MAX_ITER = 200
 
@@ -156,34 +156,30 @@ def tail_sum_stats(
     return _tail_sums(law, (w for _, w in walk_box(spec, alpha)), gamma, x)
 
 
-def _checked_floor(law: TailLaw, weights: Iterable[np.ndarray], target_x: float) -> float:
+def _checked_floor(law: TailLaw, weights: Iterable[np.ndarray]) -> float:
     """`calibration_floor` over the box's weight chunks."""
-    lo = law.f_at_clamp / target_x * (1.0 + 1e-9)
-    s_lo = _tail_sums(law, weights, lo, target_x)[0]
-    if s_lo < 1.0 / target_x:
-        raise DomainError(
-            f"no bracket: tail sum at minimal gamma is {s_lo} < 1/x = {1.0 / target_x}"
-        )
+    lo = law.f_at_clamp * (1.0 + 1e-9)
+    s_lo = _tail_sums(law, weights, lo, 1.0)[0]
+    if s_lo < 1.0:
+        raise DomainError(f"no bracket: tail sum at minimal gamma is {s_lo} < 1")
     return lo
 
 
 @functools.lru_cache(maxsize=64)
-def calibration_floor(spec: BoxSpec, law: TailLaw, alpha: float, target_x: float) -> float:
-    """Least gamma the calibration searches from, just above f(clamp)/target_x.
+def calibration_floor(spec: BoxSpec, law: TailLaw, alpha: float) -> float:
+    """Least gamma the calibration searches from, just above f(clamp).
 
-    The tail sum decreases in gamma, so when it is already below 1/target_x
-    there, no gamma reaches the target: raises DomainError. Costs one exact
-    tail sum, cheap enough to run when a config is validated; it is
-    remembered per (box, law, alpha, x), so the calibration of a validated
-    box does not walk it again for its floor.
+    The tail sum decreases in gamma, so when it is already below 1 there, no
+    gamma reaches it: raises DomainError. Costs one exact tail sum, cheap
+    enough to run when a config is validated; it is remembered per (box,
+    law, alpha), so the calibration of a validated box does not walk it
+    again for its floor.
     """
-    return _checked_floor(law, (w for _, w in walk_box(spec, alpha)), target_x)
+    return _checked_floor(law, (w for _, w in walk_box(spec, alpha)))
 
 
-def gamma_calibrated(
-    spec: BoxSpec, law: TailLaw, alpha: float, target_x: float = 1.0
-) -> float:
-    """Gamma making the exact finite-box tail sum equal 1/target_x.
+def gamma_calibrated(spec: BoxSpec, law: TailLaw, alpha: float) -> float:
+    """Gamma making the exact finite-box tail sum at x = 1 equal 1.
 
     Monotone bisection on gamma from `calibration_floor`, to relative
     tolerance CALIBRATION_RTOL on the sum; for alpha = 0 the answer is the
@@ -191,17 +187,16 @@ def gamma_calibrated(
     """
     if alpha == 0.0:
         return gamma_flat(spec)
-    target = 1.0 / target_x
-    lo = calibration_floor(spec, law, alpha, target_x)
+    lo = calibration_floor(spec, law, alpha)
     # the bisection walks the box once and sums over the held chunks
     weights = [w for _, w in walk_box(spec, alpha)]
 
     def sum_at(gamma: float) -> float:
-        return _tail_sums(law, weights, gamma, target_x)[0]
+        return _tail_sums(law, weights, gamma, 1.0)[0]
 
     hi = max(2.0 * lo, 1.0)
     for _ in range(CALIBRATION_MAX_ITER):
-        if sum_at(hi) < target:
+        if sum_at(hi) < 1.0:
             break
         hi *= 2.0
     else:
@@ -209,9 +204,9 @@ def gamma_calibrated(
     for _ in range(CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         s = sum_at(mid)
-        if abs(s - target) <= CALIBRATION_RTOL * target:
+        if abs(s - 1.0) <= CALIBRATION_RTOL:
             return mid
-        if s > target:
+        if s > 1.0:
             lo = mid
         else:
             hi = mid
@@ -220,18 +215,12 @@ def gamma_calibrated(
     raise ConvergenceError("gamma bisection did not converge")
 
 
-def resolve_gamma(
-    mode: str,
-    spec: BoxSpec,
-    law: TailLaw,
-    alpha: float,
-    target_x: float = 1.0,
-) -> float:
+def resolve_gamma(mode: str, spec: BoxSpec, law: TailLaw, alpha: float) -> float:
     """Gamma_L of the box under `mode`, validating the regime first."""
     check_regime(mode, spec.dimension, law, alpha)
     if mode == "flat":
         return gamma_flat(spec)
     if mode == "calibrated":
-        return gamma_calibrated(spec, law, alpha, target_x)
+        return gamma_calibrated(spec, law, alpha)
     gamma = gamma_power if mode == "power" else gamma_critical
     return gamma(spec.dimension, alpha, law.p, law.k, spec.radius)

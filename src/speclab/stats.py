@@ -562,52 +562,58 @@ def exact_max_cdf(spec: BoxSpec, law: TailLaw, alpha: float, x: float) -> float:
 
 
 def exact_max_cdf_ladder(
-    spec: BoxSpec, law: TailLaw, alpha: float, x: float, radii: list[int]
+    spec: BoxSpec, law: TailLaw, alpha: float, x, radii: list[int]
 ) -> np.ndarray:
-    """exact_max_cdf at several nested radii from one walk over the largest box.
+    """exact_max_cdf at each x and several nested radii, from one box walk.
 
-    Every radius must lie in [1, spec.radius]. Sites are attributed to shells
-    by their sup-norm radius, so the value at radius L accumulates exactly
-    the shells s <= L; the values are nonincreasing in L by construction and
-    are returned in the order of `radii`.
+    x is a scalar or an array; the result has one row per x, shape
+    x.shape + (len(radii),). Every radius must lie in [1, spec.radius].
+    Sites are attributed to shells by their sup-norm radius, so the value at
+    radius L accumulates exactly the shells s <= L; each row is nonincreasing
+    in L by construction and lists the radii in the order of `radii`. Each
+    x's sums run in the same order as a walk for that x alone, so a row is
+    bitwise the same whichever other x share the walk.
     """
-    if x < 0:
+    xs = np.asarray(x, dtype=np.float64)
+    if np.any(xs < 0):
         raise DomainError("x must be >= 0")
     if not all(1 <= r <= spec.radius for r in radii):
         raise ValueError(f"radii must lie in [1, {spec.radius}], got {list(radii)}")
     L_max = max(radii)
     big = BoxSpec(spec.dimension, L_max, spec.norm_kind)
     check_capacity(big)  # before the shell arrays, as long as a d = 1 box
-    shell_logs = np.zeros(L_max + 1)
-    zero_shell = np.zeros(L_max + 1, dtype=bool)
+    rows = xs.reshape(-1, 1)
+    shell_logs = np.zeros((rows.size, L_max + 1))
+    zero_shell = np.zeros((rows.size, L_max + 1), dtype=bool)
     for coords, weight in walk_box(big, alpha):
         shell = np.max(np.abs(coords), axis=1)
-        tails = tail_prob(law, weight * x)
+        tails = tail_prob(law, weight * rows)
         dead = tails >= 1.0
-        if np.any(dead):
-            np.logical_or.at(zero_shell, shell[dead], True)
         terms = np.zeros_like(tails)
         terms[~dead] = np.log1p(-tails[~dead])
-        np.add.at(shell_logs, shell, terms)
-    log_cum = np.cumsum(shell_logs)
-    dead_cum = np.cumsum(zero_shell) > 0
-    return np.array([0.0 if dead_cum[r] else math.exp(log_cum[r]) for r in radii])
+        # ufunc.at adds each row's sites in walk order
+        for logs, zero, row_terms, row_dead in zip(shell_logs, zero_shell, terms, dead):
+            if np.any(row_dead):
+                np.logical_or.at(zero, shell[row_dead], True)
+            np.add.at(logs, shell, row_terms)
+    log_cum = np.cumsum(shell_logs, axis=1)
+    dead_cum = np.cumsum(zero_shell, axis=1) > 0
+    table = np.array([[0.0 if dead[r] else math.exp(logs[r]) for r in radii]
+                      for logs, dead in zip(log_cum, dead_cum)])
+    return table.reshape(xs.shape + (len(radii),))
 
 
-def fit_lower_envelope_constant(spec: BoxSpec, law: TailLaw, alpha: float, x_grid) -> float:
+def fit_lower_envelope_constant(law: TailLaw, x_grid, cdf) -> float:
     """Least-squares c1 in log(1 - A(x)) = log(c1) - x**delta over the grid.
 
-    A is the exact max CDF at the given box, standing in for its large-L
-    limit (the product is Cauchy in L once the factors approach 1).
+    `cdf` holds A at each x of the grid: the exact max CDF of a box, standing
+    in for its large-L limit (the product is Cauchy in L once the factors
+    approach 1).
     """
     if law.family != "stretched_exp":
         raise ValueError("lower envelope fit applies to stretched_exp laws")
-    logs = []
-    for x in x_grid:
-        a_val = exact_max_cdf(spec, law, alpha, float(x))
-        if not 0.0 < a_val < 1.0:
-            continue
-        logs.append(math.log(1.0 - a_val) + float(x) ** law.delta)
+    logs = [math.log(1.0 - a_val) + float(x) ** law.delta
+            for x, a_val in zip(x_grid, cdf) if 0.0 < a_val < 1.0]
     if not logs:
         raise ValueError("no usable grid points for the envelope fit")
     return math.exp(float(np.mean(logs)))

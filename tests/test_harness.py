@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -32,6 +33,7 @@ from speclab.harness import (
 from speclab.lattice import BoxSpec
 from speclab.operators import (
     DENSE_CAP_DEFAULT,
+    LatticeOperator,
     build_hamiltonian,
     free_laplacian_eigs,
     sample_potential,
@@ -120,6 +122,30 @@ def test_parse_config_rejects_unknown_keys():
         parse_config_text(CONFIG_TEXT + "\nwavelength = 3\n")
 
 
+def test_parse_config_rejects_a_key_set_twice():
+    line = len(CONFIG_TEXT.splitlines()) + 1
+    with pytest.raises(ConfigError, match=f"^line {line}: duplicate key radii$"):
+        parse_config_text(CONFIG_TEXT + "radii = 40\n")
+    with pytest.raises(ConfigError, match="^line 2: duplicate key trials$"):
+        parse_config_text("trials = 2\ntrials=2\n")
+    # a flag still overrides the file's one line
+    assert parse_config_text(CONFIG_TEXT, {"radii": "40"}).radii == (40,)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("radii", "20,,40"), ("x_grid", "1,,2"), ("x_grid", "1,"), ("x_grid", "1, ,2"),
+    ("intervals", "1:2,,2:inf"), ("intervals", ",1:2"),
+])
+def test_list_values_reject_an_empty_item(key, value):
+    with pytest.raises(ConfigError, match=f"^bad value '{re.escape(value)}' for {key}: empty item$"):
+        parse_config_text(CONFIG_TEXT, {key: value})
+
+
+def test_an_empty_intervals_value_means_none():
+    # an empty x_grid is rejected: see test_cli_rejects_bad_values_before_compute
+    assert parse_config_text(CONFIG_TEXT, {"intervals": ""}).intervals == ()
+
+
 def test_parse_config_requires_experiment():
     with pytest.raises(ConfigError):
         parse_config_text("trials = 5")
@@ -157,17 +183,17 @@ def test_empty_radii_rejected_before_any_compute(experiment, tmp_path, monkeypat
 
 
 def test_calibration_bracket_checked_at_every_radius():
-    # at the least gamma the tail sum is 3.17 at L = 3 and 9.39 at L = 100
-    # (p = 2, alpha = 0.5), so 1/x = 5 is reached at L = 100 only
-    calibrated = {"alpha": "0.5", "scaling_mode": "calibrated", "calibration_x": "0.2"}
+    # at the least gamma the tail sum is 0.926 at L = 3 and 1.145 at L = 100
+    # (p = 1, k = 1, alpha = 2.7), so 1 is reached at L = 100 only
+    calibrated = {"p": "1", "k": "1", "alpha": "2.7", "scaling_mode": "calibrated"}
     parse_config_text(CONFIG_TEXT, dict(calibrated, radii="100"))
     with pytest.raises(ConfigError, match="no bracket"):
         parse_config_text(CONFIG_TEXT, dict(calibrated, radii="3,100"))
     # alpha = 0 has the closed form, and sandwich resolves no gamma
     parse_config_text(CONFIG_TEXT, dict(calibrated, alpha="0", radii="3,100"))
     parse_config_text(
-        "experiment = sandwich\nalpha = 0.5\nscaling_mode = calibrated\n"
-        "calibration_x = 1e-9\nradii = 5\nx_grid = 6\n")
+        "experiment = sandwich\np = 1\nk = 1\nalpha = 2.7\nscaling_mode = calibrated\n"
+        "radii = 3\nx_grid = 6\n")
 
 
 def test_a_validated_config_is_not_checked_again(tmp_path, monkeypatch):
@@ -177,15 +203,14 @@ def test_a_validated_config_is_not_checked_again(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "calibration_floor",
                         lambda *args: calls.append(args) or floor(*args))
     cfg = parse_config_text(CONFIG_TEXT, {"alpha": "0.5", "scaling_mode": "calibrated",
-                                          "radii": "3,5", "calibration_x": "0.4",
-                                          "trials": "1", "source": "V",
+                                          "radii": "3,5", "trials": "1", "source": "V",
                                           "out": str(tmp_path / "run")})
     assert len(calls) == 2
     assert run_experiment(cfg)["exit_code"] == 0
     assert len(calls) == 2
     # a changed copy is a new config and is checked in full
     with pytest.raises(ConfigError, match="no bracket"):
-        replace(cfg, calibration_x=0.3)
+        replace(cfg, law=power_log(1.0, 1), alpha=3.0)
     assert len(calls) == 3
 
 
@@ -715,6 +740,25 @@ def test_every_tracer_hook_resolves(monkeypatch):
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
     for attr in spans.TRIAL_FUNCTIONS:
         assert callable(getattr(harness, attr, None)), attr
+    # Tracer.install also wraps these two by name
+    assert callable(getattr(harness, "_map_trials", None))
+    assert callable(getattr(LatticeOperator, "apply", None))
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+def test_every_workload_builds_its_reference_config(monkeypatch, tmp_path, smoke):
+    # the benchmark's gate fails a workload whose config, less out_dir,
+    # differs from the `config` block of its reference
+    root = Path(__file__).resolve().parents[1]
+    workloads = load_perfbench(monkeypatch, "workloads")
+    assert workloads.WORKLOADS
+    for name, w in workloads.WORKLOADS.items():
+        ref = root / "perfbench" / "reference" / f"{name}{'.smoke' if smoke else ''}.json"
+        overrides = workloads.overrides_for(w, workloads.CANONICAL_SEED,
+                                            str(tmp_path / name), smoke)
+        cfg = parse_config_text((root / w.config_file).read_text(), overrides)
+        got = {k: v for k, v in cfg.to_dict().items() if k != "out_dir"}
+        assert got == json.loads(ref.read_text())["config"], name
 
 
 def test_the_benchmark_layer_calls_still_run(monkeypatch):
@@ -777,23 +821,27 @@ def test_assert_flag_exit_code(tmp_path):
     assert summary["exit_code"] == EXIT_ASSERT
 
 
-def test_solver_failure_exit_code(tmp_path):
-    cfg = small_extremal_cfg(
-        tmp_path, trials=4, radii=(80,), solver="lanczos",
-        solver_max_iter=3, solver_tol=1e-15, source="H",
-    )
+def starved_lanczos(monkeypatch, max_iter: int) -> None:
+    """Run every Lanczos solve at tol 1e-15 and `max_iter` restarts."""
+    monkeypatch.setattr(harness, "extremal_topk",
+                        functools.partial(harness.extremal_topk, tol=1e-15, max_iter=max_iter))
+
+
+def test_solver_failure_exit_code(tmp_path, monkeypatch):
+    starved_lanczos(monkeypatch, 3)
+    cfg = small_extremal_cfg(tmp_path, trials=4, radii=(80,), solver="lanczos", source="H")
     summary = run_experiment(cfg)
     assert summary["exit_code"] == EXIT_SOLVER
     assert summary["flagged_trials_total"] == 4
 
 
-def test_trials_with_no_converged_pair_are_written_flagged(tmp_path):
+def test_trials_with_no_converged_pair_are_written_flagged(tmp_path, monkeypatch):
     # capped at one ARPACK iteration at tol 1e-15, trials 1 and 3 of this box
     # converge no pair at all
+    starved_lanczos(monkeypatch, 1)
     cfg = small_extremal_cfg(
         tmp_path, trials=4, dimension=2, radii=(15,), alpha=0.5, master_seed=0,
-        scaling_mode="power", top_m=10, solver="lanczos", solver_max_iter=1,
-        solver_tol=1e-15, source="H",
+        scaling_mode="power", top_m=10, solver="lanczos", source="H",
     )
     summary = run_experiment(cfg)
     assert summary["exit_code"] == EXIT_SOLVER
@@ -805,6 +853,19 @@ def test_trials_with_no_converged_pair_are_written_flagged(tmp_path):
     empty = [row["trial"] for row in rows if row["points"] == ""]
     assert empty == ["1", "3"]
     assert all(rows[int(t)]["e1_raw"] == "0" for t in empty)
+
+
+@pytest.mark.parametrize("flagged, code", [(1, 0), (2, EXIT_SOLVER)])
+def test_solver_failure_rate_counts_h_solves_only(tmp_path, monkeypatch, flagged, code):
+    # V trials never flag, so under source = both the 1 % bar is a share of
+    # the 100 H solves: 2 flagged exceed it
+    solve = harness._solve_h
+    monkeypatch.setattr(harness, "_solve_h", lambda cfg, op, trial, m: replace(
+        solve(cfg, op, trial, m), converged=trial >= flagged))
+    cfg = small_extremal_cfg(tmp_path, experiment="maxlaw", trials=100, radii=(20,))
+    summary = run_experiment(cfg)
+    assert summary["flagged_trials_total"] == flagged
+    assert summary["exit_code"] == code
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -847,11 +908,6 @@ def test_cli_usage_error_exit_1(tmp_path):
     ["--p", "nan"],
     ["--p", "0"],
     ["--family", "stretched_exp", "--delta", "nan"],
-    ["--calibration-x", "0"],
-    ["--calibration-x", "-1"],
-    ["--solver-tol", "-1"],
-    ["--solver-tol", "0"],
-    ["--solver-max-iter", "0"],
     ["--top-m", "-3"],
     ["--dense-cap", "-1"],
     ["--solver", "dense"],
@@ -863,6 +919,21 @@ def test_cli_rejects_bad_values_before_compute(tmp_path, capsys, flags):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("speclab: error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["solver_tol", "solver_max_iter", "calibration_x"])
+def test_removed_keys_are_rejected_before_compute(tmp_path, capsys, key):
+    # Lanczos runs at eigen's fixed tolerance and restart cap, and the
+    # calibration solves the tail sum at x = 1: no key sets either
+    out = tmp_path / "o"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"experiment = maxlaw\nradii = 20\ntrials = 1\n{key} = 1\n")
+    assert cli_main(["maxlaw", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"speclab: error: unknown config keys: ['{key}']\n"
+    argv = ["maxlaw", "--L", "20", "--trials", "1", "--out", str(out), expected_flag(key), "1"]
+    assert cli_main(argv) == EXIT_USAGE
+    assert f"unrecognized arguments: {expected_flag(key)} 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -902,15 +973,12 @@ PARITY = {
     "source": ("V", ""),
     "top_m": ("12", ""),
     "solver": ("lanczos", ""),
-    "solver_tol": ("1e-8", ""),
-    "solver_max_iter": ("500", ""),
     "dense_cap": ("100", ""),
     "workers": ("2", ""),
     "out": ("elsewhere", ""),
     "assert": ("true", ""),
     "ks_threshold": ("0.1", ""),
     "p_threshold": ("0.05", ""),
-    "calibration_x": ("2", ""),
 }
 
 
@@ -921,7 +989,9 @@ def test_parity_covers_every_key():
 @pytest.mark.parametrize("key", sorted(PARITY))
 def test_config_line_and_flag_build_equal_configs(key):
     value, shared = PARITY[key]
-    base = f"experiment = extremal\nradii = 20\n{shared}\n"
+    # a key is set once per file: the radii case sets radii on its own line
+    radii = "" if key == "radii" else "radii = 20\n"
+    base = f"experiment = extremal\n{radii}{shared}\n"
     from_file = parse_config_text(base + f"{key} = {value}\n")
     if key == "radii":  # the ladder flag is repeated, one radius each
         flags = [tok for r in value.split(",") for tok in ("--L", r)]
@@ -960,11 +1030,13 @@ def test_seed_range_bounds_accepted():
       "--scaling-mode", "power"], True),
     # dense spectrum above dense_cap ("dense cap")
     (["ids", "--dimension", "2", "--L", "40", "--alpha", "0.5"], True),
-    # calibrated mode whose tail sum can never reach 1/x (DomainError)
-    (["tailsum", "--L", "3", "--alpha", "0.5", "--scaling-mode", "calibrated",
-      "--calibration-x", "0.01"], True),
-    (["extremal", "--dimension", "2", "--L", "5", "--alpha", "0.5",
-      "--scaling-mode", "calibrated", "--calibration-x", "1e-9"], True),
+    # calibrated mode whose tail sum can never reach 1 (DomainError); with
+    # p = 1, k = 1 the sum at the least gamma is 0.827 at L = 3, alpha = 3,
+    # and 0.861 at d = 2, L = 5, alpha = 5
+    (["tailsum", "--L", "3", "--p", "1", "--k", "1", "--alpha", "3",
+      "--scaling-mode", "calibrated"], True),
+    (["extremal", "--dimension", "2", "--L", "5", "--p", "1", "--k", "1", "--alpha", "5",
+      "--scaling-mode", "calibrated"], True),
     # a threshold outside [0, 1], the range of a p-value and of a KS
     # distance, would pass or fail its checks whatever the data
     (["extremal", "--L", "20", "--p-threshold", "-0.5"], True),
@@ -972,7 +1044,7 @@ def test_seed_range_bounds_accepted():
     (["extremal", "--L", "20", "--ks-threshold", "-1"], True),
     (["ids", "--L", "20", "--ks-threshold", "2"], True),
     (["maxlaw", "--L", "20", "--p-threshold", "nan"], True),
-], ids=["capacity", "dense_cap", "no_bracket", "no_bracket_tiny_x", "p_threshold_below_0",
+], ids=["capacity", "dense_cap", "no_bracket", "no_bracket_d2", "p_threshold_below_0",
         "p_threshold_above_1", "ks_threshold_below_0", "ks_threshold_above_1",
         "p_threshold_nan"])
 def test_cli_maps_library_errors_to_exit_1(tmp_path, capsys, argv, before_compute):

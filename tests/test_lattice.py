@@ -69,7 +69,7 @@ OVER_CAP_CALLS = {
         OVER_CAP, power_log(2.0, 0), 0.5, np.random.default_rng(0)),
     "free_laplacian_eigs": lambda: free_laplacian_eigs(1, OVER_CAP.radius),
     "tail_sum_stats": lambda: tail_sum_stats(OVER_CAP, power_log(2.0, 0), 0.5, 1e4, 1.0),
-    "calibration_floor": lambda: calibration_floor(OVER_CAP, power_log(2.0, 0), 0.5, 1.0),
+    "calibration_floor": lambda: calibration_floor(OVER_CAP, power_log(2.0, 0), 0.5),
     "exact_max_cdf_ladder": lambda: exact_max_cdf_ladder(
         OVER_CAP, stretched_exp(1.0), 1.0, 8.0, [OVER_CAP.radius]),
 }

@@ -220,12 +220,10 @@ def test_gamma_calibrated_matches_power_formula_d1():
 
 
 def test_gamma_calibrated_achieves_target():
-    spec = BoxSpec(2, 30)
     law = power_log(2.0, 0)
-    for x in (0.5, 2.0):
-        g = gamma_calibrated(spec, law, 0.5, target_x=x)
-        s = tail_sum(spec, law, 0.5, g, x)
-        assert abs(s * x - 1.0) <= 1e-8
+    for spec in (BoxSpec(1, 100), BoxSpec(2, 30)):
+        g = gamma_calibrated(spec, law, 0.5)
+        assert abs(tail_sum(spec, law, 0.5, g, 1.0) - 1.0) <= 1e-8
 
 
 def test_resolve_gamma_dispatch():
@@ -243,12 +241,16 @@ def test_calibration_floor_raises_without_a_bracket():
     spec = BoxSpec(1, 3)
     law = power_log(2.0, 0)
     # the tail sum at the least gamma is 1 + 2*(1/2 + 1/3 + 1/4) = 19/6
-    lo = calibration_floor(spec, law, 0.5, target_x=1.0)
+    lo = calibration_floor(spec, law, 0.5)
     assert lo == pytest.approx(1.0, rel=1e-8)
     assert tail_sum(spec, law, 0.5, lo, 1.0) == pytest.approx(19.0 / 6.0, rel=1e-8)
-    assert calibration_floor(spec, law, 0.5, target_x=0.4) == pytest.approx(2.5, rel=1e-8)
-    for x in (0.3, 1e-9):
+    # p = 1, k = 1: the sum at the least gamma is 0.926 at alpha = 2.7 and
+    # 0.827 at alpha = 3 on this box, and 1.145 at alpha = 2.7 on L = 100
+    law = power_log(1.0, 1)
+    for alpha in (2.7, 3.0):
         with pytest.raises(DomainError, match="no bracket"):
-            calibration_floor(spec, law, 0.5, target_x=x)
+            calibration_floor(spec, law, alpha)
         with pytest.raises(DomainError, match="no bracket"):
-            gamma_calibrated(spec, law, 0.5, target_x=x)
+            gamma_calibrated(spec, law, alpha)
+    big = BoxSpec(1, 100)
+    assert gamma_calibrated(big, law, 2.7) > calibration_floor(big, law, 2.7)

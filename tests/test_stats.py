@@ -27,7 +27,7 @@ from speclab.stats import (
     rescale,
     sorted_counter,
 )
-from speclab.tails import power_log, stretched_exp
+from speclab.tails import DomainError, power_log, stretched_exp
 
 import stats_oracle
 
@@ -530,6 +530,25 @@ def test_exact_max_cdf_matches_direct_product():
     assert exact_max_cdf(spec, law, 0.8, x) == pytest.approx(direct, rel=1e-12)
 
 
+def test_exact_max_cdf_ladder_takes_an_array_of_x():
+    # the sandwich's grid: one walk gives a row per x, each bitwise the row
+    # of a walk for that x alone; its largest radius is exact_max_cdf there
+    law = stretched_exp(1.0)
+    spec = BoxSpec(1, 100, "sup")
+    radii = [25, 50, 100]
+    xs = [0.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0]  # x = 0 is below the clamp
+    table = exact_max_cdf_ladder(spec, law, 1.0, xs, radii)
+    assert table.shape == (len(xs), len(radii))
+    assert np.all(table[0] == 0.0) and np.all(table[1:] > 0.0)
+    for x, row in zip(xs, table):
+        np.testing.assert_array_equal(row, exact_max_cdf_ladder(spec, law, 1.0, x, radii))
+        assert row[-1] == exact_max_cdf(spec, law, 1.0, x)
+    square = exact_max_cdf_ladder(spec, law, 1.0, np.reshape(xs[1:], (2, 3)), radii)
+    np.testing.assert_array_equal(square.reshape(-1, len(radii)), table[1:])
+    with pytest.raises(DomainError, match="^x must be >= 0$"):
+        exact_max_cdf_ladder(spec, law, 1.0, [6.0, -1.0], radii)
+
+
 def test_exact_max_cdf_ladder_cauchy_tail():
     # once per-site factors are ~1 the partial products stabilize
     law = stretched_exp(1.0)
@@ -583,5 +602,6 @@ def test_fit_lower_envelope_recovers_model_constant():
     # 1 - A(x) ~ e^{-x^delta}, so the fitted constant approaches 1
     law = stretched_exp(1.0)
     spec = BoxSpec(1, 200, "sup")
-    c1 = fit_lower_envelope_constant(spec, law, 3.0, [8.0, 10.0, 12.0])
+    xs = [8.0, 10.0, 12.0]
+    c1 = fit_lower_envelope_constant(law, xs, [exact_max_cdf(spec, law, 3.0, x) for x in xs])
     assert c1 == pytest.approx(1.0, rel=0.05)
