@@ -43,8 +43,17 @@ def flag_of(key: str) -> str:
     return FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reports a bad command line as every other
+    input error is reported: one `speclab: error:` line, then exit 2, which
+    `main` maps to exit 1. Subcommand parsers are built of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"speclab: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="speclab",
         description="Spectral statistics of lattice operators with random decaying potentials",
     )

@@ -28,11 +28,14 @@ from . import __version__
 from .lattice import BoxSpec, CapacityError, check_capacity, site_array
 from .operators import (
     DENSE_CAP_DEFAULT,
+    TopPlan,
     build_hamiltonian,
     check_dense_cap,
     free_laplacian_eigs,
     restrict_potential,
     sample_potential,
+    top_plan,
+    top_values,
     v_spectrum,
 )
 from .eigen import (
@@ -79,6 +82,10 @@ EXIT_ASSERT = 2
 EXIT_SOLVER = 3
 
 MAX_FLAGGED_FRACTION = 0.01
+
+# a V sampling plan's level is where the box expects at least this many times
+# top_m rescaled points, so that fewer than top_m reach it about once in 1e7
+TOP_COUNT_FACTOR = 4
 
 
 class ConfigError(ValueError):
@@ -334,6 +341,24 @@ def _solve_paths(cfg: ExperimentConfig) -> set[str]:
             for L in cfg.radii}
 
 
+def _top_plan(cfg: ExperimentConfig, L: int, gamma: float) -> TopPlan | None:
+    """The V sampling plan (`operators.top_plan`) a trial of one radius
+    reads: a V-only trial's, and a counting trial's of both sources; else
+    None.
+
+    Its level is where the box expects TOP_COUNT_FACTOR * top_m rescaled
+    points, never above the lowest interval start an extremal run counts
+    from. `_run_extremal` makes it before the fork, so the pool's workers
+    inherit it from `top_plan`'s cache.
+    """
+    with_counts = cfg.experiment == "extremal" and bool(cfg.intervals)
+    if cfg.source == "H" or (cfg.source == "both" and not with_counts):
+        return None
+    x_max = min(a for a, _ in cfg.intervals) if with_counts else math.inf
+    return top_plan(cfg.box(L), cfg.law, cfg.alpha, gamma,
+                    TOP_COUNT_FACTOR * cfg.resolved_top_m(), x_max)
+
+
 def _extremal_trial(args):
     """One trial of the extremal/maxlaw pipeline at one box radius.
 
@@ -343,23 +368,39 @@ def _extremal_trial(args):
     points and the smallest point still reaches the lowest interval start;
     every eigenvalue an interval can see is then in the solve, so the counts
     are exact given the solver's top set.
+
+    V is rescaled only where a stored or counted point can lie: a V-only
+    trial evaluates only the sites its radius's `TopPlan` cannot settle
+    (`top_values`), and a trial that samples all of V for H rescales its top
+    m values, and with counts every value at or above the plan's level.
     """
     cfg, L, gamma, trial = args
     t0 = time.perf_counter()
     spec = cfg.box(L)
     rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
-    potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
     out = {"trial": trial, "L": L}
     m = cfg.resolved_top_m()
     with_counts = cfg.experiment == "extremal" and bool(cfg.intervals)
+    plan = _top_plan(cfg, L, gamma)
+    if cfg.source != "V":
+        potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
     for source in ("V", "H"):
         if cfg.source != "both" and cfg.source != source:
             continue
         if source == "V":
-            eigs = v_spectrum(potential)
-            eigs = eigs[eigs > 0.0]
+            if cfg.source == "V":
+                eigs, dropped = top_values(spec, cfg.law, cfg.alpha, rng, plan, m)
+            else:
+                eigs = v_spectrum(potential)
+                eigs = eigs[eigs > 0.0]
+                dropped = int(np.count_nonzero(eigs < cfg.law.point_floor))
+                # a row stores the top m points, and no value below the
+                # plan's level rescales to an interval's start
+                if not with_counts:
+                    eigs = eigs[:m]
+                elif plan is not None:
+                    eigs = eigs[:max(m, int(np.count_nonzero(eigs >= plan.level)))]
             points = rescale(eigs, cfg.law, gamma)
-            dropped = points.dropped_below_threshold
             resid, converged = 0.0, True
         else:
             op = build_hamiltonian(spec, potential)
@@ -574,6 +615,9 @@ def _run_extremal(cfg: ExperimentConfig, out: Path):
     flagged_total = 0
     gammas = {L: resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha)
               for L in cfg.radii}
+    for L, gamma in gammas.items():
+        # each radius's V sampling plan, cached here so the workers inherit it
+        _top_plan(cfg, L, gamma)
     by_radius = _map_radii(cfg, _extremal_trial, lambda L, t: (cfg, L, gammas[L], t))
     for L, gamma in gammas.items():
         results = by_radius[L]

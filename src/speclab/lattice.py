@@ -13,6 +13,7 @@ and the d >= 2 weights array read it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -107,12 +108,20 @@ def walk_box(spec: BoxSpec, alpha: float) -> Iterator[tuple[np.ndarray, np.ndarr
         yield coords, (1.0 + site_norm(coords, spec.norm_kind)) ** alpha
 
 
+@functools.lru_cache(maxsize=4)
 def weights_array(spec: BoxSpec, alpha: float) -> np.ndarray:
-    """(1 + |n|)**alpha for every site, in ordinal order."""
+    """(1 + |n|)**alpha for every site, in ordinal order; read-only.
+
+    Remembered for the last few (box, alpha): every trial of a radius reads
+    the same array, and at d >= 2 building it walks the box.
+    """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     if spec.dimension == 1:
         check_capacity(spec)
         n = np.arange(-spec.radius, spec.radius + 1, dtype=np.float64)
-        return (1.0 + np.abs(n)) ** alpha
-    return np.concatenate([w for _, w in walk_box(spec, alpha)])
+        w = (1.0 + np.abs(n)) ** alpha
+    else:
+        w = np.concatenate([w for _, w in walk_box(spec, alpha)])
+    w.flags.writeable = False
+    return w

@@ -6,18 +6,34 @@ box are dropped. Nearest neighbor means one coordinate changes by exactly 1.
 The potential is V(n) = omega_n / (1+|n|)**alpha with omega sampled from a
 tail law. `LatticeOperator` is always this one operator; the paper's two
 comparisons have closed forms instead: the free hopping spectrum
-(`free_laplacian_eigs`) and the spectrum of V alone (`v_spectrum`).
+(`free_laplacian_eigs`) and the spectrum of V alone (`v_spectrum`). V's top
+values alone come from `top_values`, which inverts the tail law only at the
+sites a `TopPlan`'s per-site thresholds on the uniforms cannot settle.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import BoxSpec, CapacityError, check_capacity, site_coords, weights_array
-from .tails import TailLaw, sample_omega_array
+from .scaling import count_level
+from .tails import TailLaw, f_inv, sample_omega_array, tail_prob
 
 DENSE_CAP_DEFAULT = 4096
+
+# margins of a `TopPlan`: relative on V below the level a kept value must
+# reach, and on both sides of the point floor; relative on each threshold in u
+KEEP_MARGIN = 1e-9
+DROP_MARGIN = 1e-6
+U_MARGIN = 1e-11
+# a plan needs d log f / d log x at least this at its level, so that the keep
+# margin on V is far wider than the rounding of f and of its inverse; and
+# k below MAX_K, so that the rounding of 1/f stays far inside U_MARGIN
+MIN_LOG_SLOPE = 0.1
+MAX_K = 1000
 
 
 @dataclass(frozen=True)
@@ -40,11 +56,127 @@ def sample_potential(
 
     Uses 1 - rng.random() so the uniforms lie in (0, 1].
     """
-    check_capacity(spec)
-    u = 1.0 - rng.random(spec.site_count)
+    u = _uniforms(spec, rng)
     omegas = sample_omega_array(law, u)
     values = omegas / weights_array(spec, alpha)
     return PotentialSample(spec=spec, omegas=omegas, values=values)
+
+
+def _uniforms(spec: BoxSpec, rng: np.random.Generator) -> np.ndarray:
+    """One uniform in (0, 1] per site, in ordinal order."""
+    check_capacity(spec)
+    u = rng.random(spec.site_count)
+    return np.subtract(1.0, u, out=u)
+
+
+@dataclass(frozen=True)
+class TopPlan:
+    """Per-site thresholds on the uniforms u of `sample_potential` that find,
+    for one box, law, alpha and gamma, the sites where V's top values can
+    lie, without inverting the tail law at every site.
+
+    A site's omega falls as its u rises, and V = omega / w. The thresholds
+    are computed with margins, so that rounding can only add a site to those
+    evaluated, never leave one out:
+    - u > keep[i] puts V below `level`, and every V below `level` rescales
+      below the plan's x_c;
+    - u <= band_lo[i] puts V at or above the law's point floor;
+    - band_lo[i] < u < band_hi[i] is the narrow band where whether V falls
+      below the floor is not settled beforehand;
+    - u >= drop[i] puts V in (0, point floor), a value `stats.rescale`
+      drops; `drop` is None when no site has such a u.
+    Once m evaluated values reach `check`, they and the values above them
+    are V's top m.
+    """
+
+    level: float
+    check: float
+    keep: np.ndarray
+    band_lo: np.ndarray
+    band_hi: np.ndarray
+    drop: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=8)
+def top_plan(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float, count: float,
+             x_max: float = math.inf) -> TopPlan | None:
+    """The `TopPlan` of the sites whose V can rescale to at least x_c, a
+    level at most x_max where the box expects at least `count` rescaled
+    points (`scaling.count_level`).
+
+    `check` is f^{-1}(x_c * gamma), `level` sits KEEP_MARGIN below it, and
+    keep[i] is the tail probability at level * w[i]. Sites on the clamp
+    atom (omega = clamp_point exactly) are settled exactly. None when there
+    is no such x_c, or the margins cannot be trusted: the level at or below
+    the point floor, f too flat there (log-slope below MIN_LOG_SLOPE), or k
+    of at least MAX_K. Remembered for the last few arguments, so the
+    trials of a radius share one plan.
+    """
+    x_c = count_level(spec, law, alpha, gamma, count, x_max)
+    if x_c is None:
+        return None
+    check = f_inv(law, x_c * gamma)
+    level = (1.0 - KEEP_MARGIN) * check
+    floor = law.point_floor
+    if not level > floor or law.k >= MAX_K:
+        return None
+    slope = (law.p - law.k / math.log(level) if law.family == "power_log"
+             else law.delta * level ** law.delta)
+    if slope < MIN_LOG_SLOPE:
+        return None
+    w = weights_array(spec, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep = tail_prob(law, level * w) * (1.0 + U_MARGIN)
+        band_lo = tail_prob(law, floor * (1.0 + DROP_MARGIN) * w) * (1.0 - U_MARGIN)
+        hi = tail_prob(law, floor * (1.0 - DROP_MARGIN) * w) * (1.0 + U_MARGIN)
+    # u >= atom_lo makes 1/u < f(clamp_point): omega = clamp_point exactly,
+    # and V = clamp_point / w, dropped or not whatever the trial
+    atom_lo = (1.0 + U_MARGIN) / law.f_at_clamp
+    atom = law.clamp_point / w
+    atom_drops = (atom > 0.0) & (atom < floor)
+    # where the atom drops, so does every u above hi: omega lies in
+    # [clamp_point, floor * w), and V in (0, floor)
+    drop = np.where(atom_drops, np.minimum(np.nextafter(hi, np.inf), atom_lo), np.inf)
+    band_hi = np.where(atom_drops, drop, atom_lo)
+    # a threshold that overflowed (w = inf) settles nothing: evaluate the site
+    unsettled = ~(np.isfinite(keep) & np.isfinite(band_lo) & np.isfinite(hi))
+    band_lo[unsettled], band_hi[unsettled], drop[unsettled] = 0.0, 2.0, np.inf
+    for a in (keep, band_lo, band_hi, drop):
+        a.flags.writeable = False  # one plan serves every trial of the radius
+    return TopPlan(level=level, check=check, keep=keep, band_lo=band_lo, band_hi=band_hi,
+                   drop=drop if np.isfinite(drop).any() else None)
+
+
+def top_values(spec: BoxSpec, law: TailLaw, alpha: float, rng: np.random.Generator,
+               plan: TopPlan | None, m: int) -> tuple[np.ndarray, int]:
+    """V's positive values in descending order, every value that can rescale
+    to at least the plan's x_c among them, and how many of all V's positive
+    values lie below the law's point floor.
+
+    Draws the uniforms of `sample_potential` from `rng` and inverts the tail
+    law only at the sites the plan keeps or leaves unsettled; each value is
+    the same float `sample_potential` gives. Without a plan, or when fewer
+    than m evaluated values reach `plan.check`, every site is evaluated and
+    every positive value returned.
+    """
+    u = _uniforms(spec, rng)
+    w = weights_array(spec, alpha)
+    if plan is not None:
+        at = np.flatnonzero((u <= plan.keep) | ((u > plan.band_lo) & (u < plan.band_hi)))
+        values = sample_omega_array(law, u[at]) / w[at]
+        if np.count_nonzero(values >= plan.check) >= m:
+            dropped = 0 if plan.drop is None else int(
+                np.count_nonzero(u >= plan.drop) - np.count_nonzero(u[at] >= plan.drop[at]))
+            return _positive_descending(values, law, dropped)
+    return _positive_descending(sample_omega_array(law, u) / w, law, 0)
+
+
+def _positive_descending(values: np.ndarray, law: TailLaw,
+                         dropped: int) -> tuple[np.ndarray, int]:
+    """The positive values, descending, and `dropped` plus those of them
+    below the point floor."""
+    eigs = np.sort(values[values > 0.0])[::-1]
+    return eigs, dropped + int(np.count_nonzero(eigs < law.point_floor))
 
 
 def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSample:

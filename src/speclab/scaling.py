@@ -32,6 +32,7 @@ REGIME_TOL = 1e-12
 # gamma_calibrated stops when the tail sum is this close to 1, relatively
 CALIBRATION_RTOL = 1e-9
 CALIBRATION_MAX_ITER = 200
+COUNT_LEVEL_MAX_STEPS = 64
 
 
 class RegimeError(ValueError):
@@ -154,6 +155,39 @@ def tail_sum_stats(
     if gamma * x < law.f_at_clamp * (1.0 - 1e-13):
         raise DomainError("gamma * x below f(clamp_point)")
     return _tail_sums(law, (w for _, w in walk_box(spec, alpha)), gamma, x)
+
+
+def count_level(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float,
+                count: float, x_max: float = math.inf) -> float | None:
+    """A level x <= x_max at which the box's expected number of rescaled
+    points, the exact tail sum of P(f(V(n))/gamma >= x), is at least
+    `count`, and at most twice `count` unless x = x_max.
+
+    Starts where the limit law's 1/x equals `count`, moves x by the ratio of
+    the sum to `count` until it brackets the count, then bisects log x.
+    None when the box has fewer sites than `count`, or x*gamma would fall
+    below f(clamp_point) before the sum reaches `count`.
+    """
+    if count > spec.site_count:
+        return None
+    x, lo, hi = min(x_max, 1.0 / count), None, None
+    for _ in range(COUNT_LEVEL_MAX_STEPS):
+        if x * gamma < law.f_at_clamp:
+            return lo
+        total = tail_sum_stats(spec, law, alpha, gamma, x)[0]
+        if total >= count:
+            lo = x
+            if total <= 2.0 * count or x >= x_max:
+                return x
+        else:
+            hi = x
+        if lo is not None and hi is not None:
+            x = math.sqrt(lo * hi)
+        elif lo is None:
+            x *= 0.999 * total / count if total > 0.0 else 0.5
+        else:
+            x = min(x_max, x * total / count)
+    return lo
 
 
 def _checked_floor(law: TailLaw, weights: Iterable[np.ndarray]) -> float:

@@ -65,16 +65,17 @@ class RescaledPointSet:
 
 
 def rescale(eigs_desc: np.ndarray, law: TailLaw, gamma: float) -> RescaledPointSet:
-    """Apply f(.)/gamma to eigenvalues at or above the law's clamp point.
+    """Apply f(.)/gamma to eigenvalues at or above the law's point floor
+    (`TailLaw.point_floor`).
 
     Input must be positive and descending; order is preserved because f is
-    increasing on the kept range. Eigenvalues below the clamp are counted in
+    increasing on the kept range. Eigenvalues below the floor are counted in
     `dropped_below_threshold`.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     eigs = np.asarray(eigs_desc, dtype=np.float64)
-    kept = eigs[eigs >= max(law.clamp_point, np.finfo(float).tiny)]
+    kept = eigs[eigs >= law.point_floor]
     points = f_eval(law, kept) / gamma if kept.size else np.empty(0)
     return RescaledPointSet(
         points=np.asarray(points, dtype=np.float64),
@@ -84,7 +85,8 @@ def rescale(eigs_desc: np.ndarray, law: TailLaw, gamma: float) -> RescaledPointS
 
 # points per counting pass: the first pass of a KS distance counts this many
 # of its decisive points, each later pass at most this many still open, and
-# Levy's bisection looks ahead while its undecided points fit in one pass
+# Levy's bisection counts at most this many of a level's undecided points at
+# a time, looking ahead to the next levels while they fit in one pass
 COUNT_BATCH = 512
 LEVY_LOOKAHEAD = 6  # bisection levels one Levy pass may decide at most
 _SIGN = np.int64(np.iinfo(np.int64).min)
@@ -250,10 +252,11 @@ def levy_distance(counts, free, tol: float = 1e-6) -> float:
     whose shift lands below each free value u, which is N at `_last_below(u,
     eps)` against #{free < u}. Each inequality is read from the bracket of
     its count where that decides it, and the undecided ones are counted, with
-    those of the next bisection levels, in one pass. A constraint met at the
-    lower end of the bracket stays met above it and is dropped. The result
-    is an upper bound within `tol` of the true value and never exceeds the
-    KS distance.
+    those of the next bisection levels, in one pass; a level with more than
+    COUNT_BATCH undecided first counts an even subset of them, pass by pass,
+    until the rest fit. A constraint met at the lower end of the bracket
+    stays met above it and is dropped. The result is an upper bound within
+    `tol` of the true value and never exceeds the KS distance.
     """
     hi = ks_distance(counts, free)
     u, upto, below = _free_steps(free)
@@ -274,6 +277,10 @@ def levy_distance(counts, free, tol: float = 1e-6) -> float:
 
     def feasible(eps: float, lo: float, hi: float, c1: np.ndarray, c2: np.ndarray):
         violated, met1, met2, pending = check(eps, c1, c2)
+        while not violated and pending.size > COUNT_BATCH:
+            # too many for one pass: count an even subset and decide again
+            counts(pending[::-(-pending.size // COUNT_BATCH)])
+            violated, met1, met2, pending = check(eps, c1, c2)
         if not violated and pending.size:
             # count this level's open points with those of the bisection
             # levels below it, while they fit in one pass

@@ -25,6 +25,8 @@ import numpy as np
 
 FAMILIES = ("power_log", "stretched_exp")
 
+_TINY = float(np.finfo(float).tiny)
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the requested operation."""
@@ -68,6 +70,12 @@ class TailLaw:
     def f_at_clamp(self) -> float:
         """f(clamp_point), evaluated once per law."""
         return f_eval(self, self.clamp_point) if self.clamp_point > 0 else 1.0
+
+    @property
+    def point_floor(self) -> float:
+        """Least value that rescales to a point: the clamp point, or the
+        least normal float when the clamp point is 0."""
+        return max(self.clamp_point, _TINY)
 
     def to_dict(self) -> dict:
         if self.family == "power_log":

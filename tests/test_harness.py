@@ -933,8 +933,32 @@ def test_removed_keys_are_rejected_before_compute(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"speclab: error: unknown config keys: ['{key}']\n"
     argv = ["maxlaw", "--L", "20", "--trials", "1", "--out", str(out), expected_flag(key), "1"]
     assert cli_main(argv) == EXIT_USAGE
-    assert f"unrecognized arguments: {expected_flag(key)} 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"speclab: error: unrecognized arguments: {expected_flag(key)} 1\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument experiment: invalid choice: 'bogus' (choose from "
+                + ", ".join(repr(e) for e in EXPERIMENTS) + ")"),
+    ([], "the following arguments are required: experiment"),
+    (["maxlaw", "--L"], "argument --L: expected one argument"),
+    (["maxlaw", "--trials", "1", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+], ids=["unknown-experiment", "no-experiment", "missing-value", "unknown-flag"])
+def test_a_bad_command_line_prints_one_error_line(capsys, argv, message):
+    assert cli_main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"speclab: error: {message}\n"
+    assert captured.out == ""
+
+
+def test_help_still_prints_usage_and_returns_0(capsys):
+    assert cli_main(["--help"]) == 0
+    assert cli_main(["maxlaw", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: speclab")
+    assert "usage: speclab maxlaw" in captured.out
+    assert captured.err == ""
 
 
 # --- one schema: config-file keys and CLI flags ---------------------------------

@@ -146,6 +146,32 @@ def test_weights_array_matches_scalar():
             )
 
 
+@pytest.mark.parametrize("spec", [BoxSpec(1, 50), BoxSpec(2, 7, "sup"), BoxSpec(3, 3)],
+                         ids=["d1", "d2-sup", "d3"])
+def test_weights_array_is_remembered_read_only(spec):
+    w = weights_array(spec, 0.7)
+    assert weights_array(spec, 0.7) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 2.0
+    fresh = weights_array.__wrapped__(spec, 0.7)
+    assert fresh is not w and fresh.tobytes() == w.tobytes()
+
+
+def test_sample_potential_values_do_not_depend_on_the_weights_cache():
+    from speclab.harness import derive_stream
+    from speclab.tails import sample_omega_array
+
+    law = power_log(2.0, 1)
+    for spec, alpha in [(BoxSpec(1, 40), 0.0), (BoxSpec(1, 40), 0.6), (BoxSpec(2, 6), 1.3)]:
+        u = 1.0 - derive_stream(3, 1, 0).random(spec.site_count)
+        expected = sample_omega_array(law, u) / weights_array.__wrapped__(spec, alpha)
+        weights_array.cache_clear()
+        for _ in range(2):  # computed, then remembered
+            got = sample_potential(spec, law, alpha, derive_stream(3, 1, 0)).values
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_weight_chunks_concatenate_to_full_array(monkeypatch):
     # the walk crosses chunk boundaries inside small boxes at WALK_CHUNK = 17;
     # every box-wide reduction must agree with its one-chunk value

@@ -9,6 +9,7 @@ from speclab.scaling import (
     RegimeError,
     calibration_floor,
     check_regime,
+    count_level,
     gamma_calibrated,
     gamma_critical,
     gamma_flat,
@@ -254,3 +255,26 @@ def test_calibration_floor_raises_without_a_bracket():
             gamma_calibrated(spec, law, alpha)
     big = BoxSpec(1, 100)
     assert gamma_calibrated(big, law, 2.7) > calibration_floor(big, law, 2.7)
+
+
+@pytest.mark.parametrize("spec, law, alpha, mode, count, x_max", [
+    (BoxSpec(1, 2000), power_log(2.0, 1), 0.0, "flat", 32, math.inf),
+    (BoxSpec(1, 2000), stretched_exp(0.5), 0.0, "flat", 32, 0.01),
+    (BoxSpec(1, 2000), power_log(2.0, 0), 0.3, "power", 40, 1.0),
+    (BoxSpec(2, 40), power_log(2.0, 1), 0.5, "calibrated", 32, 1.0),
+    (BoxSpec(2, 30), stretched_exp(0.5), 0.3, "calibrated", 64, math.inf),
+])
+def test_count_level_reaches_the_count(spec, law, alpha, mode, count, x_max):
+    gamma = resolve_gamma(mode, spec, law, alpha)
+    x = count_level(spec, law, alpha, gamma, count, x_max)
+    assert x <= x_max
+    assert count <= tail_sum_stats(spec, law, alpha, gamma, x)[0] <= 2.0 * count or x == x_max
+
+
+def test_count_level_is_none_where_the_box_cannot_reach_the_count():
+    spec, law = BoxSpec(1, 10), power_log(2.0, 1)
+    assert count_level(spec, law, 0.0, 21.0, 22) is None  # more than the sites
+    # at x = 1/4, x * gamma is below f(clamp_point) = 2e
+    assert count_level(spec, law, 0.0, 21.0, 4) is None
+    x = count_level(spec, law, 0.0, 21.0, 1)
+    assert x <= 1.0 and tail_sum_stats(spec, law, 0.0, 21.0, x)[0] >= 1.0

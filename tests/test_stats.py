@@ -186,6 +186,23 @@ def test_distances_from_counts_on_spectrum_sized_samples(seed):
     assert len(passes) == made
 
 
+@pytest.mark.parametrize("batch", [4, 16, 64])
+def test_levy_counts_at_most_count_batch_points_per_pass(batch):
+    # a level with more undecided points than one pass holds counts them in
+    # even subsets; every decision stays exact, so the value is the oracle's
+    rng = np.random.default_rng(batch)
+    free = free_laplacian_eigs(1, 300)
+    a = np.concatenate([rng.uniform(-2.0, 2.0, 600) * 0.97, rng.uniform(2.0, 9.0, 20)])
+    passes = []
+    counter = sorted_counter(a)
+    with mock.patch.object(stats, "COUNT_BATCH", batch):
+        whole = SpectrumCounts(lambda x: passes.append(x.size) or counter(x), a.size)
+        ks_made = (ks_distance(whole, free), len(passes))[1]
+        assert levy_distance(whole, free) == stats_oracle.levy_distance(a, free)
+    assert len(passes) > ks_made
+    assert max(passes) <= batch
+
+
 # --- interval counts -----------------------------------------------------------
 
 def make_points(values):
