@@ -66,11 +66,6 @@ class Spectrum:
     converged: bool = True
     iterations: int = 0
 
-    def positive_descending(self) -> np.ndarray:
-        """Positive eigenvalues in decreasing order (extremal view)."""
-        vals = self.values[self.values > 0.0]
-        return vals[::-1]
-
 
 def solver_path(dimension: int, n: int, m: int, solver: str, dense_cap: int) -> str:
     """The path of an n-site top-m slice: "lanczos" for solver "lanczos" and

@@ -229,6 +229,8 @@ class ExperimentConfig:
             raise ConfigError("radii must be strictly increasing")
         if self.experiment == "sample" and len(self.radii) > 1:
             raise ConfigError("sample takes one radius")
+        if self.experiment == "maxlaw" and self.intervals:
+            raise ConfigError("maxlaw counts no intervals: use extremal")
         if self.scaling_mode not in SCALING_MODES:
             raise ConfigError(f"scaling_mode must be one of {SCALING_MODES}")
         if self.source not in ("V", "H", "both"):
@@ -342,37 +344,34 @@ def _solve_paths(cfg: ExperimentConfig) -> set[str]:
 
 
 def _top_plan(cfg: ExperimentConfig, L: int, gamma: float) -> TopPlan | None:
-    """The V sampling plan (`operators.top_plan`) a trial of one radius
-    reads: a V-only trial's, and a counting trial's of both sources; else
-    None.
+    """The V sampling plan (`operators.top_plan`) a V-only trial of one
+    radius reads; None for the other sources.
 
     Its level is where the box expects TOP_COUNT_FACTOR * top_m rescaled
-    points, never above the lowest interval start an extremal run counts
-    from. `_run_extremal` makes it before the fork, so the pool's workers
-    inherit it from `top_plan`'s cache.
+    points, never above the lowest interval start the run counts from.
+    `_run_extremal` makes it before the fork, so the pool's workers inherit
+    it from `top_plan`'s cache.
     """
-    with_counts = cfg.experiment == "extremal" and bool(cfg.intervals)
-    if cfg.source == "H" or (cfg.source == "both" and not with_counts):
+    if cfg.source != "V":
         return None
-    x_max = min(a for a, _ in cfg.intervals) if with_counts else math.inf
     return top_plan(cfg.box(L), cfg.law, cfg.alpha, gamma,
-                    TOP_COUNT_FACTOR * cfg.resolved_top_m(), x_max)
+                    TOP_COUNT_FACTOR * cfg.resolved_top_m(),
+                    min((a for a, _ in cfg.intervals), default=math.inf))
 
 
 def _extremal_trial(args):
     """One trial of the extremal/maxlaw pipeline at one box radius.
 
-    H is solved for its top m = `resolved_top_m()` eigenvalues. When the
-    extremal experiment counts intervals, the solve is repeated with m
-    doubled (capped at n) while all m values came back, all rescaled into
-    points and the smallest point still reaches the lowest interval start;
-    every eigenvalue an interval can see is then in the solve, so the counts
-    are exact given the solver's top set.
+    H is solved for its top m = `resolved_top_m()` eigenvalues. When the run
+    counts intervals, the solve is repeated with m doubled (capped at n)
+    while all m values came back and the smallest still rescales to at
+    least the lowest interval start; every eigenvalue an interval can see is
+    then in the solve, so the counts are exact given the solver's top set.
 
-    V is rescaled only where a stored or counted point can lie: a V-only
-    trial evaluates only the sites its radius's `TopPlan` cannot settle
-    (`top_values`), and a trial that samples all of V for H rescales its top
-    m values, and with counts every value at or above the plan's level.
+    A V-only trial evaluates only the sites its radius's `TopPlan` keeps
+    (`top_values`). Each source rescales its positive values, only the top m
+    of them when the run counts no intervals, and `dropped` counts the
+    values among the top m that lie below the law's point floor.
     """
     cfg, L, gamma, trial = args
     t0 = time.perf_counter()
@@ -380,48 +379,40 @@ def _extremal_trial(args):
     rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
     out = {"trial": trial, "L": L}
     m = cfg.resolved_top_m()
-    with_counts = cfg.experiment == "extremal" and bool(cfg.intervals)
-    plan = _top_plan(cfg, L, gamma)
-    if cfg.source != "V":
+    with_counts = bool(cfg.intervals)
+    if cfg.source == "V":
+        v_desc = top_values(spec, cfg.law, cfg.alpha, rng, _top_plan(cfg, L, gamma), m)
+    else:
         potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
     for source in ("V", "H"):
         if cfg.source != "both" and cfg.source != source:
             continue
         if source == "V":
-            if cfg.source == "V":
-                eigs, dropped = top_values(spec, cfg.law, cfg.alpha, rng, plan, m)
-            else:
-                eigs = v_spectrum(potential)
-                eigs = eigs[eigs > 0.0]
-                dropped = int(np.count_nonzero(eigs < cfg.law.point_floor))
-                # a row stores the top m points, and no value below the
-                # plan's level rescales to an interval's start
-                if not with_counts:
-                    eigs = eigs[:m]
-                elif plan is not None:
-                    eigs = eigs[:max(m, int(np.count_nonzero(eigs >= plan.level)))]
-            points = rescale(eigs, cfg.law, gamma)
+            desc = v_desc if cfg.source == "V" else v_spectrum(potential)
             resid, converged = 0.0, True
         else:
             op = build_hamiltonian(spec, potential)
             k = m
             while True:
                 spectrum = _solve_h(cfg, op, trial, k)
-                eigs = spectrum.positive_descending()
-                points = rescale(eigs, cfg.law, gamma)
-                if not (with_counts and spectrum.values.size == points.points.size == k < op.n
-                        and points.points[-1] >= min(a for a, _ in cfg.intervals)):
+                # values ascend: the first is the smallest of the top k
+                if not (with_counts and spectrum.values.size == k < op.n
+                        and rescale(spectrum.values[:1], cfg.law, gamma).top
+                        >= min(a for a, _ in cfg.intervals)):
                     break
                 k = min(2 * k, op.n)
-            # as on every path, H's dropped counts among its top m alone
-            dropped = min(eigs.size, m) - min(points.points.size, m)
+            desc = spectrum.values[::-1]
             resid = (0.0 if spectrum.residuals is None
                      else float(np.max(spectrum.residuals, initial=0.0)))
             converged = spectrum.converged
+        eigs = desc[desc > 0.0]
+        if not with_counts:
+            eigs = eigs[:m]
+        points = rescale(eigs, cfg.law, gamma)
         out[source] = {
             "e1_raw": float(eigs[0]) if eigs.size else 0.0,
             "e1": points.top,
-            "dropped": dropped,
+            "dropped": min(eigs.size, m) - min(points.points.size, m),
             "points": points.points[:m].tolist(),
             "counts": count_in_intervals(points, cfg.intervals).tolist() if with_counts else [],
             "resid": resid,
@@ -603,7 +594,7 @@ def _run_tailsum(cfg: ExperimentConfig, out: Path):
 
 def _run_extremal(cfg: ExperimentConfig, out: Path):
     """The extremal experiment; maxlaw is the same without interval counts."""
-    with_counts = cfg.experiment == "extremal"
+    with_counts = bool(cfg.intervals)
     sources = ("V", "H") if cfg.source == "both" else (cfg.source,)
     count_cols = [f"count_{_interval_label(a, b)}" for a, b in cfg.intervals] \
         if with_counts else []

@@ -9,7 +9,7 @@ reproducible regardless of iteration strategy. Each site n carries a weight
 `walk_box` is the one walk over a box: it yields the coordinates and weights
 of `WALK_CHUNK` consecutive ordinals at a time. Every box-wide reduction (the
 tail sums and calibration in `scaling`, the exact max-CDF ladder in `stats`)
-and the d >= 2 weights array read it.
+and the weights array read it.
 """
 from __future__ import annotations
 
@@ -113,15 +113,10 @@ def weights_array(spec: BoxSpec, alpha: float) -> np.ndarray:
     """(1 + |n|)**alpha for every site, in ordinal order; read-only.
 
     Remembered for the last few (box, alpha): every trial of a radius reads
-    the same array, and at d >= 2 building it walks the box.
+    the same array, and building it walks the box.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    if spec.dimension == 1:
-        check_capacity(spec)
-        n = np.arange(-spec.radius, spec.radius + 1, dtype=np.float64)
-        w = (1.0 + np.abs(n)) ** alpha
-    else:
-        w = np.concatenate([w for _, w in walk_box(spec, alpha)])
+    w = np.concatenate([w for _, w in walk_box(spec, alpha)])
     w.flags.writeable = False
     return w

@@ -8,7 +8,7 @@ tail law. `LatticeOperator` is always this one operator; the paper's two
 comparisons have closed forms instead: the free hopping spectrum
 (`free_laplacian_eigs`) and the spectrum of V alone (`v_spectrum`). V's top
 values alone come from `top_values`, which inverts the tail law only at the
-sites a `TopPlan`'s per-site thresholds on the uniforms cannot settle.
+sites a `TopPlan`'s per-site thresholds on the uniforms keep.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ from .tails import TailLaw, f_inv, sample_omega_array, tail_prob
 DENSE_CAP_DEFAULT = 4096
 
 # margins of a `TopPlan`: relative on V below the level a kept value must
-# reach, and on both sides of the point floor; relative on each threshold in u
+# reach, and on each threshold in u
 KEEP_MARGIN = 1e-9
-DROP_MARGIN = 1e-6
 U_MARGIN = 1e-11
 # a plan needs d log f / d log x at least this at its level, so that the keep
 # margin on V is far wider than the rounding of f and of its inverse; and
@@ -75,26 +74,16 @@ class TopPlan:
     for one box, law, alpha and gamma, the sites where V's top values can
     lie, without inverting the tail law at every site.
 
-    A site's omega falls as its u rises, and V = omega / w. The thresholds
-    are computed with margins, so that rounding can only add a site to those
-    evaluated, never leave one out:
-    - u > keep[i] puts V below `level`, and every V below `level` rescales
-      below the plan's x_c;
-    - u <= band_lo[i] puts V at or above the law's point floor;
-    - band_lo[i] < u < band_hi[i] is the narrow band where whether V falls
-      below the floor is not settled beforehand;
-    - u >= drop[i] puts V in (0, point floor), a value `stats.rescale`
-      drops; `drop` is None when no site has such a u.
-    Once m evaluated values reach `check`, they and the values above them
-    are V's top m.
+    A site's omega falls as its u rises, and V = omega / w. u > keep[i] puts
+    V below `level`, and every V below `level` rescales below the plan's
+    x_c; `keep` is computed with margins, so that rounding can only add a
+    site to those evaluated, never leave one out. Once m evaluated values
+    reach `check`, they and the values above them are V's top m.
     """
 
     level: float
     check: float
     keep: np.ndarray
-    band_lo: np.ndarray
-    band_hi: np.ndarray
-    drop: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=8)
@@ -105,78 +94,50 @@ def top_plan(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float, count: flo
     points (`scaling.count_level`).
 
     `check` is f^{-1}(x_c * gamma), `level` sits KEEP_MARGIN below it, and
-    keep[i] is the tail probability at level * w[i]. Sites on the clamp
-    atom (omega = clamp_point exactly) are settled exactly. None when there
-    is no such x_c, or the margins cannot be trusted: the level at or below
-    the point floor, f too flat there (log-slope below MIN_LOG_SLOPE), or k
-    of at least MAX_K. Remembered for the last few arguments, so the
-    trials of a radius share one plan.
+    keep[i] is the tail probability at level * w[i]. None when there is no
+    such x_c, or the margins cannot be trusted: the level at or below the
+    point floor, f too flat there (log-slope below MIN_LOG_SLOPE), or k of
+    at least MAX_K. Remembered for the last few arguments, so the trials of
+    a radius share one plan.
     """
     x_c = count_level(spec, law, alpha, gamma, count, x_max)
     if x_c is None:
         return None
     check = f_inv(law, x_c * gamma)
     level = (1.0 - KEEP_MARGIN) * check
-    floor = law.point_floor
-    if not level > floor or law.k >= MAX_K:
+    if not level > law.point_floor or law.k >= MAX_K:
         return None
     slope = (law.p - law.k / math.log(level) if law.family == "power_log"
              else law.delta * level ** law.delta)
     if slope < MIN_LOG_SLOPE:
         return None
-    w = weights_array(spec, alpha)
+    # where w overflows, keep is 0 or nan and the site is not evaluated: its
+    # V is 0, which no point or count reads
     with np.errstate(over="ignore", invalid="ignore"):
-        keep = tail_prob(law, level * w) * (1.0 + U_MARGIN)
-        band_lo = tail_prob(law, floor * (1.0 + DROP_MARGIN) * w) * (1.0 - U_MARGIN)
-        hi = tail_prob(law, floor * (1.0 - DROP_MARGIN) * w) * (1.0 + U_MARGIN)
-    # u >= atom_lo makes 1/u < f(clamp_point): omega = clamp_point exactly,
-    # and V = clamp_point / w, dropped or not whatever the trial
-    atom_lo = (1.0 + U_MARGIN) / law.f_at_clamp
-    atom = law.clamp_point / w
-    atom_drops = (atom > 0.0) & (atom < floor)
-    # where the atom drops, so does every u above hi: omega lies in
-    # [clamp_point, floor * w), and V in (0, floor)
-    drop = np.where(atom_drops, np.minimum(np.nextafter(hi, np.inf), atom_lo), np.inf)
-    band_hi = np.where(atom_drops, drop, atom_lo)
-    # a threshold that overflowed (w = inf) settles nothing: evaluate the site
-    unsettled = ~(np.isfinite(keep) & np.isfinite(band_lo) & np.isfinite(hi))
-    band_lo[unsettled], band_hi[unsettled], drop[unsettled] = 0.0, 2.0, np.inf
-    for a in (keep, band_lo, band_hi, drop):
-        a.flags.writeable = False  # one plan serves every trial of the radius
-    return TopPlan(level=level, check=check, keep=keep, band_lo=band_lo, band_hi=band_hi,
-                   drop=drop if np.isfinite(drop).any() else None)
+        keep = tail_prob(law, level * weights_array(spec, alpha)) * (1.0 + U_MARGIN)
+    keep.flags.writeable = False  # one plan serves every trial of the radius
+    return TopPlan(level=level, check=check, keep=keep)
 
 
 def top_values(spec: BoxSpec, law: TailLaw, alpha: float, rng: np.random.Generator,
-               plan: TopPlan | None, m: int) -> tuple[np.ndarray, int]:
-    """V's positive values in descending order, every value that can rescale
-    to at least the plan's x_c among them, and how many of all V's positive
-    values lie below the law's point floor.
+               plan: TopPlan | None, m: int) -> np.ndarray:
+    """V's values in descending order, every value that can rescale to at
+    least the plan's x_c among them.
 
     Draws the uniforms of `sample_potential` from `rng` and inverts the tail
-    law only at the sites the plan keeps or leaves unsettled; each value is
-    the same float `sample_potential` gives. Without a plan, or when fewer
-    than m evaluated values reach `plan.check`, every site is evaluated and
-    every positive value returned.
+    law only at the sites the plan keeps; each value is the same float
+    `sample_potential` gives. Without a plan, or when fewer than m evaluated
+    values reach `plan.check`, every site is evaluated and every value
+    returned.
     """
     u = _uniforms(spec, rng)
     w = weights_array(spec, alpha)
     if plan is not None:
-        at = np.flatnonzero((u <= plan.keep) | ((u > plan.band_lo) & (u < plan.band_hi)))
+        at = np.flatnonzero(u <= plan.keep)
         values = sample_omega_array(law, u[at]) / w[at]
         if np.count_nonzero(values >= plan.check) >= m:
-            dropped = 0 if plan.drop is None else int(
-                np.count_nonzero(u >= plan.drop) - np.count_nonzero(u[at] >= plan.drop[at]))
-            return _positive_descending(values, law, dropped)
-    return _positive_descending(sample_omega_array(law, u) / w, law, 0)
-
-
-def _positive_descending(values: np.ndarray, law: TailLaw,
-                         dropped: int) -> tuple[np.ndarray, int]:
-    """The positive values, descending, and `dropped` plus those of them
-    below the point floor."""
-    eigs = np.sort(values[values > 0.0])[::-1]
-    return eigs, dropped + int(np.count_nonzero(eigs < law.point_floor))
+            return np.sort(values)[::-1]
+    return np.sort(sample_omega_array(law, u) / w)[::-1]
 
 
 def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSample:

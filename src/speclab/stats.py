@@ -56,7 +56,6 @@ class RescaledPointSet:
     """Descending rescaled extremes f(E_j)/gamma from one spectrum."""
 
     points: np.ndarray
-    dropped_below_threshold: int
 
     @property
     def top(self) -> float:
@@ -69,18 +68,14 @@ def rescale(eigs_desc: np.ndarray, law: TailLaw, gamma: float) -> RescaledPointS
     (`TailLaw.point_floor`).
 
     Input must be positive and descending; order is preserved because f is
-    increasing on the kept range. Eigenvalues below the floor are counted in
-    `dropped_below_threshold`.
+    increasing on the kept range. Eigenvalues below the floor are left out.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     eigs = np.asarray(eigs_desc, dtype=np.float64)
     kept = eigs[eigs >= law.point_floor]
     points = f_eval(law, kept) / gamma if kept.size else np.empty(0)
-    return RescaledPointSet(
-        points=np.asarray(points, dtype=np.float64),
-        dropped_below_threshold=int(eigs.size - kept.size),
-    )
+    return RescaledPointSet(points=np.asarray(points, dtype=np.float64))
 
 
 # points per counting pass: the first pass of a KS distance counts this many

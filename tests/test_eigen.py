@@ -383,11 +383,15 @@ def test_top_eigenvalues_raises_when_stebz_fails(monkeypatch, info, found):
         full_spectrum(op, m=1)
 
 
-def test_positive_descending_filter():
-    s = full_spectrum(free_operator(BoxSpec(1, 5)))
-    pos = s.positive_descending()
-    assert np.all(pos > 0)
-    assert np.all(np.diff(pos) <= 0)
+def test_every_path_returns_its_values_ascending():
+    # an extremal trial reads the first of H's top values as the smallest
+    op1 = build_hamiltonian(*make_instance(1, 40, seed=4))
+    op2 = build_hamiltonian(*make_instance(2, 6, seed=4))
+    spectra = [full_spectrum(op1), full_spectrum(op1, m=5), full_spectrum(op2, m=5),
+               extremal_topk(op2, 5, solver_rng(4))]
+    assert [s.method for s in spectra] == ["tridiagonal", "bisection", "dense", "lanczos"]
+    for s in spectra:
+        assert np.all(np.diff(s.values) > 0), s.method
 
 
 def test_topk_m_validation():

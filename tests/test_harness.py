@@ -250,6 +250,15 @@ def test_capacity_rejected_where_the_run_needs_the_full_spectrum():
         parse_config_text(extremal + "solver = dense\n")
 
 
+def test_maxlaw_with_intervals_is_rejected():
+    # it would count nothing, yet the interval starts would set top_m
+    text = (CONFIGS_DIR / "maxlaw.cfg").read_text()
+    with pytest.raises(ConfigError, match="maxlaw counts no intervals"):
+        parse_config_text(text, {"intervals": "0.1:inf"})
+    assert parse_config_text(text.replace("maxlaw", "extremal"),
+                             {"intervals": "0.1:inf"}).resolved_top_m() == 40
+
+
 def test_boundary_delta_rejected_outside_sandwich():
     text = ("experiment = maxlaw\nfamily = stretched_exp\ndelta = 1\nradii = 50\n"
             "alpha = 0.5\nscaling_mode = calibrated\n")
@@ -438,7 +447,7 @@ def test_counts_are_exact_when_more_points_than_top_m_reach_an_interval(
                                       cfg.intervals)[0])
         assert int(row[f"count_{a:g}_inf"]) == want
         # dropped and points still describe the top m alone
-        assert int(row["dropped"]) == rescale(eigs[:2], cfg.law, 1.0).dropped_below_threshold
+        assert int(row["dropped"]) == np.count_nonzero(eigs[:2] < cfg.law.point_floor)
         assert len(row["points"].split(";")) == 2
         counts.append(want)
     assert max(counts) > cfg.top_m
@@ -452,6 +461,32 @@ def test_exact_and_lanczos_paths_write_equal_dropped_and_counts(tmp_path):
                 for r in _csv_rows(cfg, 60)]
 
     assert columns("auto") == columns("lanczos")
+
+
+@pytest.mark.parametrize("overrides, least", [
+    # V's top 8 of 1001 sites all reach the floor, while most of its sites
+    # sit below it
+    ({"alpha": "0.25", "radii": "500"}, 0),
+    # 11 sites, fewer than top_m of them at or above the floor in V and in H
+    ({"alpha": "0.3", "radii": "5"}, 1),
+    ({"alpha": "0.3", "radii": "5", "experiment": "maxlaw", "intervals": ""}, 1),
+])
+def test_dropped_counts_the_top_m_values_below_the_floor_for_v_and_h(overrides, least):
+    cfg = parse_config_text(
+        (CONFIGS_DIR / "extremal.cfg").read_text(),
+        {"source": "both", "scaling_mode": "calibrated", "k": "1", "solver": "auto",
+         "trials": "3", "out": "unused", **overrides})
+    (L,), m, floor = cfg.radii, cfg.resolved_top_m(), cfg.law.point_floor
+    gamma = harness.resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha)
+    for trial in range(3):
+        got = harness._extremal_trial((cfg, L, gamma, trial))
+        pot = sample_potential(cfg.box(L), cfg.law, cfg.alpha,
+                               derive_stream(cfg.master_seed, trial, 0))
+        h = scipy.linalg.eigvalsh_tridiagonal(pot.values, np.ones(pot.values.size - 1))
+        for source, values in (("V", pot.values), ("H", h)):
+            top = np.sort(values[values > 0.0])[::-1][:m]
+            want = int(np.count_nonzero(top < floor))
+            assert got[source]["dropped"] == want >= least, (trial, source)
 
 
 @pytest.mark.parametrize("solver", ["auto", "lanczos"])
@@ -761,6 +796,20 @@ def test_every_workload_builds_its_reference_config(monkeypatch, tmp_path, smoke
         assert got == json.loads(ref.read_text())["config"], name
 
 
+@pytest.mark.parametrize("seed", ["canonical", 4242])
+def test_every_smoke_workload_passes_the_benchmark_oracle(monkeypatch, tmp_path, seed):
+    # the benchmark fails a workload whose outputs its oracle disputes
+    root = Path(__file__).resolve().parents[1]
+    gate = load_perfbench(monkeypatch, "gate")
+    workloads = load_perfbench(monkeypatch, "workloads")
+    seed = workloads.CANONICAL_SEED if seed == "canonical" else seed
+    for name, w in workloads.WORKLOADS.items():
+        cfg = parse_config_text((root / w.config_file).read_text(), workloads.overrides_for(
+            w, seed, str(tmp_path / name), True))
+        run_experiment(cfg)
+        assert gate.oracle_check(cfg.to_dict(), Path(cfg.out_dir)) == [], name
+
+
 def test_the_benchmark_layer_calls_still_run(monkeypatch):
     # the positional calls perfbench/micro.py makes into the package
     micro = load_perfbench(monkeypatch, "micro")
@@ -862,7 +911,8 @@ def test_solver_failure_rate_counts_h_solves_only(tmp_path, monkeypatch, flagged
     solve = harness._solve_h
     monkeypatch.setattr(harness, "_solve_h", lambda cfg, op, trial, m: replace(
         solve(cfg, op, trial, m), converged=trial >= flagged))
-    cfg = small_extremal_cfg(tmp_path, experiment="maxlaw", trials=100, radii=(20,))
+    cfg = small_extremal_cfg(tmp_path, experiment="maxlaw", trials=100, radii=(20,),
+                             intervals=())
     summary = run_experiment(cfg)
     assert summary["flagged_trials_total"] == flagged
     assert summary["exit_code"] == code
@@ -912,6 +962,7 @@ def test_cli_usage_error_exit_1(tmp_path):
     ["--dense-cap", "-1"],
     ["--solver", "dense"],
     ["--assert", "ture"],
+    ["--intervals", "1:2"],  # maxlaw counts no intervals
 ], ids=lambda flags: "_".join(flags))
 def test_cli_rejects_bad_values_before_compute(tmp_path, capsys, flags):
     out = tmp_path / "never"

@@ -158,6 +158,17 @@ def test_weights_array_is_remembered_read_only(spec):
     assert fresh is not w and fresh.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("norm_kind", ["euclidean", "sup"])
+def test_d1_weights_from_the_walk_are_the_closed_form_bit_for_bit(monkeypatch, norm_kind):
+    # |n| is exact for an integer under both norms, so chunk by chunk the walk
+    # gives the floats (1 + |n|)**alpha of each site's integer distance
+    monkeypatch.setattr(lattice, "WALK_CHUNK", 17)
+    for L, alpha in ((60, 0.7), (60, 0.5), (60, 2.0), (1000, 1.3)):
+        n = np.arange(-L, L + 1, dtype=np.float64)
+        assert (weights_array.__wrapped__(BoxSpec(1, L, norm_kind), alpha).tobytes()
+                == ((1.0 + np.abs(n)) ** alpha).tobytes())
+
+
 def test_sample_potential_values_do_not_depend_on_the_weights_cache():
     from speclab.harness import derive_stream
     from speclab.tails import sample_omega_array

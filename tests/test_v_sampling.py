@@ -64,12 +64,13 @@ def full_v_row(cfg, L, gamma, trial):
     eigs = v_spectrum(pot)
     eigs = eigs[eigs > 0.0]
     points = rescale(eigs, cfg.law, gamma)
+    m = cfg.resolved_top_m()
     with_counts = cfg.experiment == "extremal" and bool(cfg.intervals)
     return {
         "e1_raw": float(eigs[0]) if eigs.size else 0.0,
         "e1": points.top,
-        "dropped": points.dropped_below_threshold,
-        "points": points.points[:cfg.resolved_top_m()].tolist(),
+        "dropped": int(np.count_nonzero(eigs[:m] < cfg.law.point_floor)),
+        "points": points.points[:m].tolist(),
         "counts": count_in_intervals(points, cfg.intervals).tolist() if with_counts else [],
         "resid": 0.0,
         "converged": True,
@@ -118,13 +119,11 @@ def v_configs(draw):
 @PROPERTY_SETTINGS
 @given(cfg=v_configs(), first=st.integers(0, 10 ** 6), wide=st.booleans())
 def test_v_rows_equal_the_full_path(cfg, first, wide):
-    # wide margins put many sites in the keep and dropped bands, so that
-    # more of them take the exactly evaluated branch
+    # a wide keep margin evaluates many sites whose V lies below the level
     with pytest.MonkeyPatch.context() as mp:
         if wide:
             top_plan.cache_clear()
             mp.setattr(operators, "KEEP_MARGIN", 0.05)
-            mp.setattr(operators, "DROP_MARGIN", 0.05)
         try:
             planned = assert_v_rows_equal_the_full_path(cfg, range(first, first + 4))
             event("the radius has a plan" if planned else "no plan: every site evaluated")
@@ -133,7 +132,7 @@ def test_v_rows_equal_the_full_path(cfg, first, wide):
 
 
 CANONICAL_V = [
-    # (config file, overrides): each radius has a plan
+    # (config file, overrides): each radius of a V-only run has a plan
     ("maxlaw.cfg", {"trials": "1"}),
     ("maxlaw.cfg", {"trials": "1", "family": "power_log", "p": "2", "k": "1"}),
     ("maxlaw.cfg", {"trials": "1", "family": "power_log", "p": "1.5", "k": "2",
@@ -155,8 +154,9 @@ CANONICAL_V = [
 @pytest.mark.parametrize("name, overrides", CANONICAL_V,
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(CANONICAL_V)])
 def test_v_rows_take_the_selection_and_equal_the_full_path(name, overrides):
+    # a trial of both sources samples all of V for H and reads no plan
     cfg = parse_config_text((CONFIGS_DIR / name).read_text(), {**overrides, "out": "unused"})
-    assert assert_v_rows_equal_the_full_path(cfg, range(12))
+    assert assert_v_rows_equal_the_full_path(cfg, range(12)) == (cfg.source == "V")
 
 
 def test_too_few_points_at_the_level_fall_back_to_every_site(monkeypatch):
@@ -232,11 +232,8 @@ def test_plan_thresholds_hold_the_sites_of_every_kept_point():
     gamma = resolve_gamma("calibrated", spec, law, alpha)
     plan = top_plan(spec, law, alpha, gamma, 32)
     assert plan is not None and plan.level < plan.check
-    assert np.all(plan.keep < plan.band_lo) and np.all(plan.band_lo < plan.band_hi)
     for trial in range(20):
         u = 1.0 - derive_stream(5, trial, 0).random(spec.site_count)
         values = sample_potential(spec, law, alpha, derive_stream(5, trial, 0)).values
         high = values >= plan.level
         assert np.all(u[high] <= plan.keep[high])
-        assert np.all(values[u <= plan.band_lo] >= law.point_floor)
-        assert np.all(values[u >= plan.drop] < law.point_floor)
