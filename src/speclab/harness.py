@@ -3,7 +3,8 @@
 Every random draw in a run comes from a counter-based (Philox) generator
 keyed by (master_seed, trial_index) and advanced to a per-purpose stream
 offset, so results are identical for any worker count or scheduling order.
-Trials are mapped over a process pool and folded in trial-index order; CSV
+Trials run in the parent, or over a process pool when they cost more than
+starting one (`_map_trials`), and are folded in trial-index order; CSV
 outputs carry no timing, making reruns byte-identical.
 """
 from __future__ import annotations
@@ -86,6 +87,15 @@ MAX_FLAGGED_FRACTION = 0.01
 # a V sampling plan's level is where the box expects at least this many times
 # top_m rescaled points, so that fewer than top_m reach it about once in 1e7
 TOP_COUNT_FACTOR = 4
+
+# seconds of CPU a 2-worker pool adds to a map: the fork, the executor's
+# threads and each fresh worker's copy-on-write warm-up. On a 2-vCPU Xeon at
+# one BLAS thread, an empty pool took 12-14 ms of CPU, parent and workers,
+# and mapping the 100 V-only trials of the benchmark's maxlaw-logtail
+# workload (configs/maxlaw.cfg, k = 1) over one took 23-28 ms more CPU than
+# mapping them in process (quartiles of 15 alternating runs). `_map_trials`
+# keeps in the parent a map that would take it less than this
+POOL_START_S = 0.025
 
 
 class ConfigError(ValueError):
@@ -229,8 +239,9 @@ class ExperimentConfig:
             raise ConfigError("radii must be strictly increasing")
         if self.experiment == "sample" and len(self.radii) > 1:
             raise ConfigError("sample takes one radius")
-        if self.experiment == "maxlaw" and self.intervals:
-            raise ConfigError("maxlaw counts no intervals: use extremal")
+        if self.experiment != "extremal" and self.intervals:
+            # they would count nothing, yet their starts would set top_m
+            raise ConfigError(f"{self.experiment} counts no intervals: use extremal")
         if self.scaling_mode not in SCALING_MODES:
             raise ConfigError(f"scaling_mode must be one of {SCALING_MODES}")
         if self.source not in ("V", "H", "both"):
@@ -513,16 +524,32 @@ def _pin_blas() -> dict[str, int]:
 
 
 def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
-    """Map trials over the pool, then fold in submission (trial) order.
+    """Map trials in this process or over a pool; results in payload order.
 
-    `workers` is an upper bound: the pool has at most one process per
-    payload and per usable core, and the map runs serially when that is one.
+    `workers` is an upper bound: a pool has at most one process per payload
+    and per usable core, and the map runs serially when that is one. Else
+    the parent first runs payloads itself from the end of the list, the
+    cheap end under `_map_radii`'s largest-radius-first order: at most one
+    pool chunk, len(payloads) // (4 * workers), and none once POOL_START_S
+    has passed. It finishes the list itself when the payloads left would
+    take it less than POOL_START_S at the mean time of those it ran, and
+    maps them over the pool otherwise. Where a payload runs changes no
+    result, and the choice is written nowhere.
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     workers = min(cfg.workers, len(payloads), cores)
     if workers <= 1:
         return [worker(p) for p in payloads]
+    tail: list = []  # results of payloads[-len(tail):], the last payload first
+    spent, t0 = 0.0, time.perf_counter()
+    while len(tail) < len(payloads) // (4 * workers) and spent < POOL_START_S:
+        tail.append(worker(payloads[-1 - len(tail)]))
+        spent = time.perf_counter() - t0
+    # the parent ran at most one payload in 4 * workers: each worker gets one
+    left = payloads[:len(payloads) - len(tail)]
+    if tail and spent / len(tail) * len(left) < POOL_START_S:
+        return [worker(p) for p in left] + tail[::-1]
     # load once, before the fork, what the trials import and no more, so the
     # workers inherit it: the SciPy module of each path their solves take
     # (none when they solve nothing), numpy.random for every trial's
@@ -534,7 +561,8 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
                         *(PATH_MODULES[path] for path in _solve_paths(cfg))}):
         importlib.import_module(name)
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
-        return list(pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
+        pooled = list(pool.map(worker, left, chunksize=max(1, len(left) // (4 * workers))))
+    return pooled + tail[::-1]
 
 
 def _map_radii(cfg: ExperimentConfig, worker, payload: Callable) -> dict[int, list]:

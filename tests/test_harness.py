@@ -5,8 +5,10 @@ import math
 import multiprocessing
 import os
 import re
+import runpy
 import subprocess
 import sys
+import time
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -259,6 +261,22 @@ def test_maxlaw_with_intervals_is_rejected():
                              {"intervals": "0.1:inf"}).resolved_top_m() == 40
 
 
+@pytest.mark.parametrize("name", ["ids", "sandwich", "tailsum", "sample"])
+def test_intervals_outside_extremal_are_rejected_before_compute(name, tmp_path, capsys):
+    # only extremal counts them; elsewhere their starts would set only the
+    # manifest's top_m (40 instead of 8 at 0.1:inf)
+    config = CONFIGS_DIR / f"{name}.cfg"
+    with pytest.raises(ConfigError, match=f"^{name} counts no intervals: use extremal$"):
+        parse_config_text(config.read_text(), {"intervals": "0.1:inf"})
+    out = tmp_path / "never"
+    code = cli_main([name, "--config", str(config), "--intervals", "0.1:inf",
+                     "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"speclab: error: {name} counts no intervals: use extremal\n")
+    assert not out.exists()
+
+
 def test_boundary_delta_rejected_outside_sandwich():
     text = ("experiment = maxlaw\nfamily = stretched_exp\ndelta = 1\nradii = 50\n"
             "alpha = 0.5\nscaling_mode = calibrated\n")
@@ -302,6 +320,8 @@ def test_top_m_default_rule():
 # --- experiment runs ----------------------------------------------------------
 
 def small_extremal_cfg(tmp_path, **kw):
+    """A small config, `extremal` unless `experiment` is given; only
+    `extremal` counts the default intervals, and the others drop them."""
     base = dict(
         experiment="extremal",
         dimension=1,
@@ -317,6 +337,8 @@ def small_extremal_cfg(tmp_path, **kw):
         out_dir=str(tmp_path / "out"),
     )
     base.update(kw)
+    if base["experiment"] != "extremal" and "intervals" not in kw:
+        base["intervals"] = ()
     return ExperimentConfig(**base)
 
 
@@ -680,8 +702,10 @@ def usable_cores(monkeypatch, cores: int | None) -> None:
 @needs_openblas
 def test_pool_workers_pin_their_own_blas(tmp_path, monkeypatch):
     # the host runs 2 threads here, so a worker that merely inherited the
-    # host's setting would read 2; two usable cores keep a real pool on any host
+    # host's setting would read 2; two usable cores keep a real pool on any
+    # host, and a free pool start sends all 8 payloads to it
     usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "POOL_START_S", 0.0)
     set_blas_threads(2)
     try:
         cfg = small_extremal_cfg(tmp_path, workers=2)
@@ -717,7 +741,32 @@ def test_run_completes_without_a_bundled_openblas(tmp_path, monkeypatch):
     assert manifest["blas_threads"] == {}
 
 
-# --- pool size -------------------------------------------------------------------
+# --- pool size and the parent's share of a map ---------------------------------
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Replace the process pool by one that maps in this process; returns
+    the (pool size, payloads mapped) of every pool built."""
+    log = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer=None):
+            self.size = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            log.append((self.size, items))
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return log
+
 
 @pytest.mark.parametrize("workers, payloads, cores, pool", [
     (100_000, 100_000, 2, 2),  # bounded by the usable cores
@@ -728,31 +777,103 @@ def test_run_completes_without_a_bundled_openblas(tmp_path, monkeypatch):
     (8, 100, None, 3),  # no affinity mask: bounded by os.cpu_count()
 ])
 def test_pool_starts_at_most_one_process_per_payload_and_core(
-        tmp_path, monkeypatch, workers, payloads, cores, pool):
-    sizes = []
-
-    class RecordingPool:
-        """Records the pool size asked for and maps in this process."""
-
-        def __init__(self, max_workers, initializer=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        tmp_path, monkeypatch, pool_log, workers, payloads, cores, pool):
+    # a free pool start sends every payload to the pool
+    monkeypatch.setattr(harness, "POOL_START_S", 0.0)
     usable_cores(monkeypatch, cores)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = small_extremal_cfg(tmp_path, workers=workers)
     items = list(range(payloads))
     assert harness._map_trials(cfg, str, items) == [str(i) for i in items]
-    assert sizes == ([] if pool is None else [pool])
+    assert [size for size, _ in pool_log] == ([] if pool is None else [pool])
+
+
+def test_a_cheap_map_builds_no_pool(tmp_path, monkeypatch, pool_log):
+    # the parent's first chunk, 100 // (4 * 2) = 12 payloads of about a
+    # microsecond, puts the other 88 far below POOL_START_S
+    usable_cores(monkeypatch, 2)
+    cfg = small_extremal_cfg(tmp_path, workers=2)
+    items = list(range(100))
+    assert harness._map_trials(cfg, str, items) == [str(i) for i in items]
+    assert pool_log == []
+
+
+def test_a_map_of_less_than_a_chunk_runs_nothing_in_the_parent(
+        tmp_path, monkeypatch, pool_log):
+    # a chunk of 4 payloads at 2 workers is 4 // 8 = 0 payloads: they all go
+    # to the pool, however dear a pool start is
+    usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "POOL_START_S", math.inf)
+    cfg = small_extremal_cfg(tmp_path, workers=2)
+    assert harness._map_trials(cfg, str, list(range(4))) == ["0", "1", "2", "3"]
+    assert pool_log == [(2, [0, 1, 2, 3])]
+
+
+def _dear_at_the_end(payload):
+    """str(payload), after 10 ms of sleep for the last 5 of 40 payloads."""
+    if payload >= 35:
+        time.sleep(0.01)
+    return str(payload)
+
+
+@pytest.mark.parametrize("start, in_parent", [
+    (0.0, {0}),  # a free pool start: no payload in the parent
+    (1e-12, {1}),  # the parent runs one, the last, which predicts the rest
+                   # above the start
+    (0.025, {2, 3}),  # it runs payloads of 10 ms until 25 ms have passed
+    (math.inf, {40}),  # a start no map repays: all in the parent
+], ids=["pool", "one-then-pool", "some-then-pool", "parent"])
+def test_the_parent_runs_the_end_of_the_list(tmp_path, monkeypatch, pool_log, start,
+                                             in_parent):
+    usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "POOL_START_S", start)
+    cfg = small_extremal_cfg(tmp_path, workers=2)
+    items = list(range(40))  # a chunk of 40 // 8 = 5
+    assert harness._map_trials(cfg, _dear_at_the_end, items) == [str(i) for i in items]
+    pooled = [p for _, batch in pool_log for p in batch]
+    assert [size for size, _ in pool_log] == ([2] if pooled else [])
+    assert pooled == items[:len(pooled)] and 40 - len(pooled) in in_parent
+
+
+# split -> POOL_START_S: every payload on the pool; the last in the parent and
+# the rest on the pool; every payload in the parent
+SPLITS = {"pool": 0.0, "one-then-pool": 1e-12, "parent": math.inf}
+SPLIT_RUNS = {
+    "extremal": dict(radii=(30, 60), trials=8, workers=2),  # both sources, intervals
+    "sandwich": dict(experiment="sandwich", radii=(10, 20), alpha=1.0,
+                     law=stretched_exp(1.0), trials=12, x_grid=(6.0,), workers=2),
+    "ids": dict(experiment="ids", radii=(20, 40), trials=4, workers=2, ks_threshold=0.5),
+}
+
+
+@pytest.mark.parametrize("run", list(SPLIT_RUNS))
+def test_output_does_not_depend_on_how_a_map_is_split(tmp_path, monkeypatch, run):
+    # each run maps at least 8 payloads at 2 workers, a chunk of at least one
+    usable_cores(monkeypatch, 2)
+    pooled = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            pooled.append(len(items))
+            return super().map(fn, items, chunksize=chunksize)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    # every byte but the fields equal runs differ in
+    script = Path(__file__).resolve().parents[1] / "scripts" / "canonical_digests.py"
+    digest = runpy.run_path(str(script))["digest"]
+    outputs, shapes = {}, {}
+    for split, start in SPLITS.items():
+        monkeypatch.setattr(harness, "POOL_START_S", start)
+        cfg = small_extremal_cfg(tmp_path / split, **SPLIT_RUNS[run])
+        mark = len(pooled)
+        run_experiment(cfg)
+        shapes[split] = pooled[mark:]
+        outputs[split] = {f.name: digest(f) for f in sorted(Path(cfg.out_dir).iterdir())}
+    n = len(cfg.radii) * cfg.trials if run != "sandwich" else cfg.trials
+    assert shapes == {"pool": [n], "one-then-pool": [n - 1], "parent": []}
+    assert outputs["pool"] == outputs["one-then-pool"] == outputs["parent"]
+    assert any(name.endswith(".csv") for name in outputs["pool"])
 
 
 # --- the hooks the perfbench tracer patches -------------------------------------

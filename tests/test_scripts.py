@@ -29,3 +29,31 @@ def test_canonical_digest_ignores_only_the_fields_equal_runs_differ_in(tmp_path)
     (tmp_path / "x.csv").write_text("trial,L\n0,10\n")
     (tmp_path / "y.csv").write_text("trial,L\n0,10 \n")
     assert digest(tmp_path / "x.csv") != digest(tmp_path / "y.csv")
+
+
+def test_workers_differ_names_each_config_whose_outputs_move_with_the_worker_count(
+        tmp_path):
+    script = runpy.run_path(str(SCRIPTS / "canonical_digests.py"))
+    fingerprint, workers_differ = script["fingerprint"], script["workers_differ"]
+
+    def run(workers, csv="trial,L\n0,10\n", code=0):
+        out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        out.mkdir()
+        (out / "maxlaw_L10.csv").write_text(csv)
+        (out / "maxlaw_summary.json").write_text(
+            json.dumps({"exit_code": code, "wall_time_s": float(workers)}))
+        (out / "manifest.json").write_text(json.dumps(
+            {"config": {"out_dir": str(out), "workers": workers, "trials": 5}}))
+        return fingerprint(code, out)
+
+    serial = {"maxlaw": run(1), "sandwich": run(1)}
+    # the wall time, the output directory and the worker count may differ
+    assert workers_differ({"maxlaw": run(2), "sandwich": run(2)}, serial) == []
+    # a byte of a CSV, an exit code, or a missing run may not
+    assert workers_differ({"maxlaw": run(2, csv="trial,L\n0,11\n"), "sandwich": run(2)},
+                          serial) == ["workers-differ maxlaw"]
+    assert workers_differ({"maxlaw": run(2), "sandwich": run(2, code=2)},
+                          serial) == ["workers-differ sandwich"]
+    assert workers_differ({"maxlaw": run(2)}, serial) == ["workers-differ sandwich"]
+    # a run that wrote nothing is its exit code alone
+    assert fingerprint(1, tmp_path / "never") == {"exit": "1"}

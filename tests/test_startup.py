@@ -121,6 +121,30 @@ def test_a_trial_imports_nothing_its_pool_did_not_preload(case):
     assert out["imported_by_trials"] == []
 
 
+def test_a_map_that_ends_in_the_parent_builds_no_pool_and_preloads_nothing():
+    # a pool start no map repays keeps all 100 trials of a V-only maxlaw run
+    # at 2 workers in the parent. The pre-fork block would load numpy.ma,
+    # which neither these trials nor the max-law test import
+    out = run_fresh(f"""
+import json, math, sys, tempfile
+from pathlib import Path
+from speclab import harness
+from speclab.harness import parse_config_text, run_experiment
+
+pools = []
+harness.ProcessPoolExecutor = lambda *args, **kwargs: pools.append(args)
+harness.os.sched_getaffinity = lambda pid: {{0, 1}}
+harness.POOL_START_S = math.inf
+with tempfile.TemporaryDirectory() as tmp:
+    overrides = {{"radii": "50", "trials": "100", "workers": "2", "out": tmp}}
+    cfg = parse_config_text(Path("configs/maxlaw.cfg").read_text(), overrides)
+    code = run_experiment(cfg)["exit_code"]
+print(json.dumps({{"code": code, "pools": len(pools),
+                  "loaded": [m for m in {WATCHED!r} if m in sys.modules]}}))
+""")
+    assert out == {"code": 0, "pools": 0, "loaded": ["numpy.random"]}
+
+
 def test_sandwich_and_ids_runs_load_no_scipy_special():
     # no trial calls scipy.special: k >= 1 tails invert by real Newton steps.
     # Only a critical-mode gamma with k >= 1 reaches Lambert W
