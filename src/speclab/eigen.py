@@ -15,7 +15,12 @@ A d=1 operator is already tridiagonal: its full spectrum comes from the QL
 driver in O(n) memory, so at any n (no experiment takes one), and its m
 largest eigenvalues, as every extremal experiment asks, from Sturm-sequence
 bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
-for those m indices alone, in O(n m log(1/eps)), at any n.
+for those m indices alone, in O(n m log(1/eps)), at any n. The bisection
+is one dstebz call in the OpenBLAS scipy bundles, through ctypes
+(`openblas`): the routine `scipy.linalg.lapack` calls, in the same library,
+so the values are the same floats, and a trial that bisects loads no
+`scipy.linalg`. Without that library or symbol it calls
+`scipy.linalg.lapack.dstebz`, and `path_module` has a pool preload it.
 Bisection and QL agree to rounding (sandwich's e1_h moved by at most 6e-15
 relative on configs/sandwich.cfg, measured).
 The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
@@ -35,10 +40,12 @@ once, in half the Python steps of a one-ended sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy  # scipy.linalg and scipy.sparse.linalg load on first use
 
+from . import openblas
 from .operators import DENSE_CAP_DEFAULT, LatticeOperator
 
 # LAPACK's pivmin for unit off-diagonals (dstebz: safe minimum * max(1, e^2))
@@ -77,11 +84,24 @@ def solver_path(dimension: int, n: int, m: int, solver: str, dense_cap: int) -> 
     return "bisection" if dimension == 1 else "dense"
 
 
-# the SciPy module each of solver_path's paths calls; scipy.sparse.linalg
-# imports scipy.linalg itself, so a Lanczos trial whose m grows into the
-# exact path finds that loaded too
-PATH_MODULES = {"lanczos": "scipy.sparse.linalg", "bisection": "scipy.linalg",
-                "dense": "scipy.linalg"}
+def path_module(path: str) -> str | None:
+    """The SciPy module a `solver_path` path calls, which a pool loads before
+    it forks. Bisection calls scipy's bundled dstebz (`openblas`) and needs
+    none, unless that library or symbol is missing and it falls back on
+    `scipy.linalg.lapack`. scipy.sparse.linalg imports scipy.linalg itself,
+    so a Lanczos trial whose m grows into the exact path finds that loaded
+    too."""
+    if path == "bisection":
+        return None if _bundled_dstebz() is not None else "scipy.linalg"
+    return {"lanczos": "scipy.sparse.linalg", "dense": "scipy.linalg"}[path]
+
+
+def _bundled_dstebz() -> Callable | None:
+    """scipy's bundled `scipy_dstebz_`, or None."""
+    for lib in openblas.bundled():
+        if lib.dstebz is not None:
+            return lib.dstebz
+    return None
 
 
 def full_spectrum(
@@ -93,9 +113,10 @@ def full_spectrum(
     are a slice of that spectrum. Only a d >= 2 full spectrum is capped, by
     `to_dense(dense_cap)`, which raises CapacityError over it. A d=1
     operator is tridiagonal: its full spectrum comes from the QL driver, and
-    its top m from Sturm-sequence bisection (LAPACK stebz) for the indices
-    n-m+1..n alone, to LAPACK's default absolute tolerance eps*|T|; a
-    LinAlgError is raised when stebz reports failure or finds fewer than m.
+    its top m from Sturm-sequence bisection (LAPACK stebz, bundled or
+    scipy's wrapper) for the indices n-m+1..n alone, to LAPACK's default
+    absolute tolerance eps*|T|; a LinAlgError is raised when stebz reports
+    failure or finds fewer than m.
     """
     n = op.n
     if m is not None and not 1 <= m <= n:
@@ -104,19 +125,24 @@ def full_spectrum(
         H = op.to_dense(dense_cap if m is None else n)
         vals = scipy.linalg.eigh(H, eigvals_only=True, driver="ev")
         return Spectrum(values=vals if m is None else vals[-m:], method="dense")
-    off = np.ones(n - 1)
     if m is None:
-        return Spectrum(values=scipy.linalg.eigvalsh_tridiagonal(op.diagonal, off),
+        return Spectrum(values=scipy.linalg.eigvalsh_tridiagonal(op.diagonal, np.ones(n - 1)),
                         method="tridiagonal")
-    # called directly: eigvalsh_tridiagonal's input checks cost as much as
-    # the bisection itself on boxes of ~50 sites. Range 2 selects by 1-based
-    # index; order "E" sorts ascending over the whole matrix
-    found, vals, _, _, info = scipy.linalg.lapack.dstebz(
-        op.diagonal, off, 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
+    # dstebz called directly: eigvalsh_tridiagonal's input checks cost as much
+    # as the bisection itself on boxes of ~50 sites
+    dstebz = _bundled_dstebz()
+    if dstebz is not None:
+        found, vals, info = openblas.dstebz_top(dstebz, op.diagonal, m)
+    else:
+        # range 2 selects by 1-based index; order "E" sorts ascending over
+        # the whole matrix
+        found, vals, _, _, info = scipy.linalg.lapack.dstebz(
+            op.diagonal, np.ones(n - 1), 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
+        vals = vals[found - m:found]
     if info != 0 or found < m:
         raise np.linalg.LinAlgError(
             f"stebz found {found} of the top {m} eigenvalues (info {info})")
-    return Spectrum(values=vals[found - m:found], method="bisection")
+    return Spectrum(values=vals, method="bisection")
 
 
 def count_le(op: LatticeOperator, x) -> np.ndarray:

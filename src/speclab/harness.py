@@ -9,9 +9,7 @@ outputs carry no timing, making reruns byte-identical.
 """
 from __future__ import annotations
 
-import ctypes
 import functools
-import glob
 import importlib
 import json
 import math
@@ -25,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, openblas
 from .lattice import BoxSpec, CapacityError, check_capacity, site_array
 from .operators import (
     DENSE_CAP_DEFAULT,
@@ -42,11 +40,11 @@ from .operators import (
 from .eigen import (
     LANCZOS_MAX_ITER_DEFAULT,
     LANCZOS_TOL_DEFAULT,
-    PATH_MODULES,
     Spectrum,
     count_le,
     extremal_topk,
     full_spectrum,
+    path_module,
     solver_path,
 )
 from .scaling import (
@@ -96,6 +94,14 @@ TOP_COUNT_FACTOR = 4
 # mapping them in process (quartiles of 15 alternating runs). `_map_trials`
 # keeps in the parent a map that would take it less than this
 POOL_START_S = 0.025
+# `_map_trials` stops running payloads in the parent once those it ran
+# predict the rest above this many times POOL_START_S. The first payloads of
+# a map run slow: maxlaw-logtail's first trial took 0.28-0.42 ms in process
+# against 0.11-0.20 ms for the next four (6 warm runs, 2-vCPU Xeon), so a
+# margin keeps its 100 trials, about 12 ms, in the parent, while
+# sandwich-ladder's first of 1000 (0.5-0.8 ms) already predicts over 0.5 s
+# and pools the other 999 at once
+HEAD_MARGIN = 4
 
 
 class ConfigError(ValueError):
@@ -481,27 +487,6 @@ def _sandwich_trial(args):
             "wall": time.perf_counter() - t0}
 
 
-@functools.cache
-def _bundled_openblas() -> tuple[tuple[str, Callable, Callable], ...]:
-    """(library basename, set_num_threads, get_num_threads) of each OpenBLAS
-    bundled with numpy (`numpy.libs`) and scipy (`scipy.libs`); empty when
-    neither wheel bundles one with the `scipy_openblas_` entry points."""
-    found = []
-    for pkg in (np, scipy):
-        site = Path(pkg.__file__).resolve().parent.parent
-        for path in sorted(glob.glob(str(site / f"{pkg.__name__}.libs" / "*openblas*"))):
-            lib = ctypes.CDLL(path)
-            suffix = "64_" if "openblas64" in path else ""
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if setter is None or getter is None:
-                continue
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            found.append((Path(path).name, setter, getter))
-    return tuple(found)
-
-
 def _pin_blas() -> dict[str, int]:
     """Pin every bundled OpenBLAS to one thread; return {library: threads}.
 
@@ -516,10 +501,10 @@ def _pin_blas() -> dict[str, int]:
     `run_experiment`. Returns {} when no bundled OpenBLAS is found.
     """
     pinned = {}
-    for name, set_threads, get_threads in _bundled_openblas():
-        if get_threads() != 1:
-            set_threads(1)
-        pinned[name] = get_threads()
+    for lib in openblas.bundled():
+        if lib.get_num_threads() != 1:
+            lib.set_num_threads(1)
+        pinned[lib.name] = lib.get_num_threads()
     return pinned
 
 
@@ -530,11 +515,11 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     and per usable core, and the map runs serially when that is one. Else
     the parent first runs payloads itself from the end of the list, the
     cheap end under `_map_radii`'s largest-radius-first order: at most one
-    pool chunk, len(payloads) // (4 * workers), and none once POOL_START_S
-    has passed. It finishes the list itself when the payloads left would
-    take it less than POOL_START_S at the mean time of those it ran, and
-    maps them over the pool otherwise. Where a payload runs changes no
-    result, and the choice is written nowhere.
+    pool chunk, len(payloads) // (4 * workers), and none once those it ran
+    predict the rest, at their mean time, above HEAD_MARGIN * POOL_START_S.
+    It finishes the list itself when that prediction is below POOL_START_S,
+    and maps the rest over the pool otherwise. Where a payload runs changes
+    no result, and the choice is written nowhere.
     """
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
@@ -542,23 +527,26 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     if workers <= 1:
         return [worker(p) for p in payloads]
     tail: list = []  # results of payloads[-len(tail):], the last payload first
-    spent, t0 = 0.0, time.perf_counter()
-    while len(tail) < len(payloads) // (4 * workers) and spent < POOL_START_S:
+    rest, t0 = 0.0, time.perf_counter()  # the time the payloads left would take
+    # the parent runs at most one payload in 4 * workers, so each worker gets
+    # one. That cap also ends the head within POOL_START_S: once that much
+    # has passed, the other 7 in 8 predict at least 7 times it, above
+    # HEAD_MARGIN times it
+    while len(tail) < len(payloads) // (4 * workers) and rest < HEAD_MARGIN * POOL_START_S:
         tail.append(worker(payloads[-1 - len(tail)]))
-        spent = time.perf_counter() - t0
-    # the parent ran at most one payload in 4 * workers: each worker gets one
+        rest = (time.perf_counter() - t0) / len(tail) * (len(payloads) - len(tail))
     left = payloads[:len(payloads) - len(tail)]
-    if tail and spent / len(tail) * len(left) < POOL_START_S:
+    if tail and rest < POOL_START_S:
         return [worker(p) for p in left] + tail[::-1]
     # load once, before the fork, what the trials import and no more, so the
     # workers inherit it: the SciPy module of each path their solves take
-    # (none when they solve nothing), numpy.random for every trial's
-    # derive_stream, and numpy.ma, which np.unique in SpectrumCounts.__call__
-    # loads lazily. scipy.linalg brings both numpy modules, but a run
+    # (none for bisection through the bundled dstebz, or when they solve
+    # nothing), numpy.random for every trial's derive_stream, and numpy.ma,
+    # which np.unique in SpectrumCounts.__call__ loads lazily. scipy.linalg brings both numpy modules, but a run
     # without it must load them here, or every worker of every run imports
     # them again
-    for name in sorted({"numpy.random", "numpy.ma",
-                        *(PATH_MODULES[path] for path in _solve_paths(cfg))}):
+    modules = {path_module(path) for path in _solve_paths(cfg)} - {None}
+    for name in sorted({"numpy.random", "numpy.ma", *modules}):
         importlib.import_module(name)
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
         pooled = list(pool.map(worker, left, chunksize=max(1, len(left) // (4 * workers))))

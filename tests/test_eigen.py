@@ -1,11 +1,15 @@
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scipy.linalg
 
+from speclab import openblas
 from speclab.eigen import (
     STURM_BLOCK_SITES,
+    _bundled_dstebz,
     count_le,
     extremal_topk,
     full_spectrum,
@@ -371,16 +375,63 @@ def test_top_eigenvalues_validation_and_caps():
 
 @pytest.mark.parametrize("info, found", [(2, 1), (-3, 1), (0, 0)])
 def test_top_eigenvalues_raises_when_stebz_fails(monkeypatch, info, found):
-    spec, pot = make_instance(1, 10)
-    op = build_hamiltonian(spec, pot)
+    # the bundled symbol reports through its M and INFO arguments, scipy's
+    # wrapper in its return value; either way a failure raises
+    op = build_hamiltonian(*make_instance(1, 10))
 
-    def failing_stebz(d, e, *args):
+    def failing_symbol(*args):
+        ctypes.c_int.from_address(args[10].value).value = found
+        ctypes.c_int.from_address(args[17].value).value = info
+
+    def failing_wrapper(d, e, *args):
         n = d.size
         return found, np.full(n, 7.0), np.ones(n, np.int32), np.zeros(n, np.int32), info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_stebz)
+    fake = openblas.Library("fake", None, None, failing_symbol)
+    monkeypatch.setattr(openblas, "bundled", lambda: (fake,))
     with pytest.raises(np.linalg.LinAlgError, match=f"info {info}"):
         full_spectrum(op, m=1)
+    # with no bundled library the bisection falls back on scipy's wrapper
+    monkeypatch.setattr(openblas, "bundled", lambda: ())
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_wrapper)
+    with pytest.raises(np.linalg.LinAlgError, match=f"info {info}"):
+        full_spectrum(op, m=1)
+
+
+@st.composite
+def tridiagonal_diagonals(draw):
+    """A diagonal of 2 to 300 sites for the unit tridiagonal: free floats
+    up to 1e150 (zeros, subnormals and ties among them), small integers
+    (many ties), all zeros, huge values, or a decaying heavy-tailed
+    potential."""
+    kind = draw(st.sampled_from(["floats", "ties", "zeros", "huge", "decaying"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=60)))
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "ties":
+        return rng.integers(-2, 3, n).astype(float)
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "huge":
+        return rng.choice([-1e150, -1e100, 0.0, 1.0, 1e100, 1e150], n)
+    alpha = draw(st.floats(0.0, 2.0))
+    return rng.pareto(1.0, n) / (1.0 + np.abs(np.arange(n) - n // 2)) ** alpha
+
+
+@pytest.mark.skipif(_bundled_dstebz() is None,
+                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=tridiagonal_diagonals(), data=st.data())
+def test_bundled_dstebz_equals_scipys_float_for_float(d, data):
+    n = d.size
+    m = data.draw(st.integers(1, n), label="m")
+    found, vals, info = openblas.dstebz_top(_bundled_dstebz(), d, m)
+    want_found, want, _, _, want_info = scipy.linalg.lapack.dstebz(
+        d, np.ones(n - 1), 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
+    assert (found, info) == (want_found, want_info)
+    np.testing.assert_array_equal(vals, want[max(found - m, 0):found])
+    assert vals.dtype == np.float64 and vals.flags.owndata
 
 
 def test_every_path_returns_its_values_ascending():

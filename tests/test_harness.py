@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 
 from speclab.cli import build_parser, overrides_from
-from speclab import harness, scaling
+from speclab import harness, openblas, scaling
 from speclab.cli import main as cli_main
 from speclab.harness import (
     EXIT_ASSERT,
@@ -640,17 +640,17 @@ def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, monkeypatch, d
 # --- one BLAS thread per process -------------------------------------------------
 
 needs_openblas = pytest.mark.skipif(
-    not harness._bundled_openblas(),
+    not openblas.bundled(),
     reason="numpy and scipy bundle no OpenBLAS with scipy_openblas_ entry points")
 
 
 def blas_threads() -> dict[str, int]:
-    return {name: get() for name, _, get in harness._bundled_openblas()}
+    return {lib.name: lib.get_num_threads() for lib in openblas.bundled()}
 
 
 def set_blas_threads(n: int) -> None:
-    for _, set_threads, _ in harness._bundled_openblas():
-        set_threads(n)
+    for lib in openblas.bundled():
+        lib.set_num_threads(n)
 
 
 def _blas_threads_probe(_payload):
@@ -712,7 +712,7 @@ def test_pool_workers_pin_their_own_blas(tmp_path, monkeypatch):
         results = harness._map_trials(cfg, _blas_threads_probe, list(range(8)))
     finally:
         set_blas_threads(1)
-    pinned = {name: 1 for name, _, _ in harness._bundled_openblas()}
+    pinned = {lib.name: 1 for lib in openblas.bundled()}
     assert all(pid != os.getpid() and threads == pinned for pid, threads in results)
 
 
@@ -734,7 +734,7 @@ def test_forked_workers_of_a_pinned_host_start_no_blas_threads(tmp_path, monkeyp
 
 
 def test_run_completes_without_a_bundled_openblas(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "_bundled_openblas", lambda: ())
+    monkeypatch.setattr(openblas, "bundled", lambda: ())
     cfg = small_extremal_cfg(tmp_path, workers=2, trials=4)
     assert run_experiment(cfg)["exit_code"] == 0
     manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
@@ -820,7 +820,8 @@ def _dear_at_the_end(payload):
     (0.0, {0}),  # a free pool start: no payload in the parent
     (1e-12, {1}),  # the parent runs one, the last, which predicts the rest
                    # above the start
-    (0.025, {2, 3}),  # it runs payloads of 10 ms until 25 ms have passed
+    (0.25, {5}),  # payloads of 10 ms predict the rest at 0.35-0.39 s, between
+                  # the start and HEAD_MARGIN times it: a chunk, then the pool
     (math.inf, {40}),  # a start no map repays: all in the parent
 ], ids=["pool", "one-then-pool", "some-then-pool", "parent"])
 def test_the_parent_runs_the_end_of_the_list(tmp_path, monkeypatch, pool_log, start,
@@ -833,6 +834,28 @@ def test_the_parent_runs_the_end_of_the_list(tmp_path, monkeypatch, pool_log, st
     pooled = [p for _, batch in pool_log for p in batch]
     assert [size for size, _ in pool_log] == ([2] if pooled else [])
     assert pooled == items[:len(pooled)] and 40 - len(pooled) in in_parent
+
+
+def test_a_slow_first_payload_pools_the_rest_at_once(tmp_path, monkeypatch, pool_log):
+    # the last payload, the first the parent runs, takes 10 ms and predicts
+    # the other 39 at 0.39 s, above HEAD_MARGIN * 25 ms: the parent runs no
+    # second, though a chunk is 5 and 25 ms have not passed
+    usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "POOL_START_S", 0.025)
+    in_parent = []
+
+    def spy(payload):
+        if not pool_log:
+            in_parent.append(payload)
+        if payload == 39:
+            time.sleep(0.01)
+        return str(payload)
+
+    cfg = small_extremal_cfg(tmp_path, workers=2)
+    items = list(range(40))
+    assert harness._map_trials(cfg, spy, items) == [str(i) for i in items]
+    assert in_parent == [39]
+    assert pool_log == [(2, items[:39])]
 
 
 # split -> POOL_START_S: every payload on the pool; the last in the parent and

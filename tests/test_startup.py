@@ -45,34 +45,42 @@ print(json.dumps({"configs": len(configs), "code": code,
 
 
 # one small run per path rule, as (config, overrides, the SciPy solver
-# modules its trials call): sandwich bisects, extremal runs Lanczos, maxlaw
+# modules its trials call): sandwich and a d = 1 auto extremal run bisect
+# through the bundled dstebz and call none, extremal runs Lanczos, maxlaw
 # (source V) and a d = 1 ids solve nothing, and a d >= 2 ids takes the dense
 # spectrum
 POOL_RUNS = {
-    "sandwich": ("sandwich", {"radii": "5,10", "trials": "4"}, ["scipy.linalg"]),
+    "sandwich": ("sandwich", {"radii": "5,10", "trials": "4"}, []),
     "extremal": ("extremal", {"radii": "50", "trials": "2"},
                  ["scipy.linalg", "scipy.sparse.linalg"]),
+    "extremal_d1_auto": ("extremal", {"radii": "50", "trials": "2", "solver": "auto"}, []),
     "maxlaw": ("maxlaw", {"radii": "50", "trials": "2"}, []),
     "ids": ("ids", {"radii": "20,40", "trials": "2"}, []),
     "ids_d2": ("ids", {"dimension": "2", "radii": "3", "trials": "2"}, ["scipy.linalg"]),
 }
+# the bisecting cases again with no bundled library, where bisection falls
+# back on scipy.linalg.lapack
+FALLBACK_RUNS = ("sandwich", "extremal_d1_auto")
 WATCHED = ("numpy.random", "numpy.ma", "scipy.linalg", "scipy.sparse.linalg", "scipy.special")
 
 
 @functools.cache
-def pooled_run(case: str) -> dict:
+def pooled_run(case: str, bundled: bool = True) -> dict:
     """One `run_experiment` of a POOL_RUNS case at 2 workers in a fresh
     interpreter, over a pool that records which WATCHED modules are loaded
     when it is built and then maps the trials in process, recording every
-    module they import."""
+    module they import; also the SHA-256 of each CSV written. With
+    `bundled` False the lookup of the bundled OpenBLAS finds none."""
     name, small, _ = POOL_RUNS[case]
     return run_fresh(f"""
-import json, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
-from speclab import harness
+from speclab import harness, openblas
 from speclab.harness import parse_config_text, run_experiment
 
 record = {{}}
+if not {bundled!r}:
+    openblas.bundled = lambda: ()
 
 
 class RecordingPool:
@@ -98,6 +106,9 @@ with tempfile.TemporaryDirectory() as tmp:
     overrides = dict({small!r}, workers="2", out=tmp)
     cfg = parse_config_text(Path("configs/{name}.cfg").read_text(), overrides)
     record["code"] = run_experiment(cfg)["exit_code"]
+    record["csv"] = {{f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                     for f in sorted(Path(tmp).glob("*.csv"))}}
+record["after_trials"] = [m for m in {WATCHED!r} if m in sys.modules]
 print(json.dumps(record))
 """)
 
@@ -118,6 +129,24 @@ def test_a_trial_imports_nothing_its_pool_did_not_preload(case):
     # every run
     out = pooled_run(case)
     assert out["code"] == 0
+    assert out["imported_by_trials"] == []
+
+
+def test_a_bisecting_run_loads_no_scipy_linalg():
+    # the sandwich run's parent does not load it either: not before the
+    # fork, nor after its trials and checks
+    out = pooled_run("sandwich")
+    assert "scipy.linalg" not in out["at_pool"] + out["after_trials"]
+
+
+@pytest.mark.parametrize("case", FALLBACK_RUNS)
+def test_without_the_bundled_library_bisection_falls_back_on_scipy(case):
+    # the same CSVs, bit for bit, and the pool preloads what the fallback
+    # imports
+    out, bundled = pooled_run(case, bundled=False), pooled_run(case)
+    assert out["code"] == 0
+    assert out["csv"] == bundled["csv"] and out["csv"]
+    assert out["at_pool"] == ["numpy.random", "numpy.ma", "scipy.linalg"]
     assert out["imported_by_trials"] == []
 
 
