@@ -13,6 +13,9 @@ two runs:
     python scripts/canonical_digests.py path/to/other/checkout > before.txt
     diff before.txt after.txt
 
+Each `--workers 2` run also writes `time <config> <seconds>`, its wall time,
+on stderr; stdout holds the digests alone.
+
 Each config also runs at `--workers 1`. Output must not depend on the
 worker count, so a config whose exit code or any digest (less the
 manifest's `config.workers`) differs between the two runs gets a
@@ -30,6 +33,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 WORKERS = ("2", "1")  # the printed run first
@@ -73,12 +77,15 @@ def main(argv: list[str]) -> int:
             for workers in WORKERS:
                 # each canonical config is named after its experiment
                 out = Path(tmp) / workers / cfg.stem
+                start = time.perf_counter()
                 code = subprocess.run(
                     [sys.executable, "-m", "speclab.cli", cfg.stem, "--config", str(cfg),
                      "--workers", workers, "--out", str(out)],
                     env=env, cwd=tmp, stdout=subprocess.DEVNULL).returncode
                 fingerprints[workers][cfg.stem] = fingerprint(code, out)
                 if workers == WORKERS[0]:
+                    print(f"time {cfg.stem} {time.perf_counter() - start:.3f}",
+                          file=sys.stderr, flush=True)
                     lines.append(f"exit {code}  {cfg.stem}")
                     if out.is_dir():
                         lines += [f"{digest(f)}  {cfg.stem}/{f.name}"

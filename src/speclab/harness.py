@@ -516,7 +516,7 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     the parent first runs payloads itself from the end of the list, the
     cheap end under `_map_radii`'s largest-radius-first order: at most one
     pool chunk, len(payloads) // (4 * workers), and none once those it ran
-    predict the rest, at their mean time, above HEAD_MARGIN * POOL_START_S.
+    predict the rest, at their median time, above HEAD_MARGIN * POOL_START_S.
     It finishes the list itself when that prediction is below POOL_START_S,
     and maps the rest over the pool otherwise. Where a payload runs changes
     no result, and the choice is written nowhere.
@@ -527,14 +527,16 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     if workers <= 1:
         return [worker(p) for p in payloads]
     tail: list = []  # results of payloads[-len(tail):], the last payload first
-    rest, t0 = 0.0, time.perf_counter()  # the time the payloads left would take
+    times: list[float] = []  # the parent's time for each of them
+    rest = 0.0  # the time the payloads left would take
     # the parent runs at most one payload in 4 * workers, so each worker gets
-    # one. That cap also ends the head within POOL_START_S: once that much
-    # has passed, the other 7 in 8 predict at least 7 times it, above
-    # HEAD_MARGIN times it
+    # one. The (lower) median predicts the rest, so one slow payload among
+    # fast ones does not send a cheap map to a pool
     while len(tail) < len(payloads) // (4 * workers) and rest < HEAD_MARGIN * POOL_START_S:
+        t0 = time.perf_counter()
         tail.append(worker(payloads[-1 - len(tail)]))
-        rest = (time.perf_counter() - t0) / len(tail) * (len(payloads) - len(tail))
+        times.append(time.perf_counter() - t0)
+        rest = sorted(times)[(len(times) - 1) // 2] * (len(payloads) - len(tail))
     left = payloads[:len(payloads) - len(tail)]
     if tail and rest < POOL_START_S:
         return [worker(p) for p in left] + tail[::-1]
@@ -727,7 +729,7 @@ def _run_sandwich(cfg: ExperimentConfig, out: Path):
     twod = 2.0 * cfg.dimension
     summary: dict = {"per_L": {}, "exact_cdf": {}}
     checks: dict[str, bool] = {}
-    # exact product CDF on the grid and its monotonicity, from one walk:
+    # exact product CDF on the grid and its monotonicity, from one call:
     # a row per x, in increasing x, and a column per radius
     xs = sorted(x for x in {*cfg.x_grid, *(x + s for x in cfg.x_grid for s in (-twod, twod))}
                 if x >= 0)

@@ -8,21 +8,19 @@ alpha = 0 the exact choice is the site count. A calibrated mode solves for
 Gamma_L numerically from the exact finite-box sum at x = 1, which sidesteps the
 cube-versus-ball ambiguity of the closed-form constants in d >= 2.
 
-Every exact tail sum (`tail_sum_stats`, `calibration_floor` and each step of
-the calibration bisection) reduces the site weights yielded by
-`lattice.walk_box`, `lattice.WALK_CHUNK` sites per chunk, with the chunk sums
-combined pairwise in a fixed order.
+Every exact tail sum (`tail_sum_stats`, `count_level`, `calibration_floor`
+and each step of the calibration bisection) is a dot product of the tail
+probabilities at the box's orbit weights with the orbits' site counts, both
+from `lattice.orbit_table`.
 """
 from __future__ import annotations
 
-import functools
 import math
-from typing import Iterable
 
 import numpy as np
 import scipy  # scipy.special loads on first use, not at import
 
-from .lattice import BoxSpec, walk_box
+from .lattice import BoxSpec, orbit_table, orbit_weights
 from .tails import DomainError, TailLaw, f_inv, tail_prob
 
 SCALING_MODES = ("power", "critical", "flat", "calibrated")
@@ -119,33 +117,15 @@ def gamma_flat(spec: BoxSpec) -> float:
     return float(spec.site_count)
 
 
-def _pairwise_sum(parts: list[float]) -> float:
-    """Combine partial sums in a fixed binary tree order."""
-    if not parts:
-        return 0.0
-    while len(parts) > 1:
-        parts = [
-            parts[i] + parts[i + 1] if i + 1 < len(parts) else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-    return parts[0]
-
-
-def _tail_sums(law: TailLaw, weights: Iterable[np.ndarray], gamma: float,
+def _tail_sums(law: TailLaw, weights: np.ndarray, counts: np.ndarray, gamma: float,
                x: float) -> tuple[float, float, float]:
-    """(sum of p_n, max p_n, sum of p_n**2) over chunks of site weights.
+    """(sum of p_n, max p_n, sum of p_n**2) over a box's orbits, given each
+    orbit's weight and site count (`lattice.orbit_table`).
 
-    p_n = P(f(V(n))/gamma >= x); chunk sums are combined pairwise.
+    p_n = P(f(V(n))/gamma >= x), the same at every site of an orbit.
     """
-    threshold = f_inv(law, gamma * x)
-    parts, parts_sq = [], []
-    max_p = 0.0
-    for w in weights:
-        probs = tail_prob(law, w * threshold)
-        parts.append(float(np.sum(probs)))
-        parts_sq.append(float(np.sum(probs * probs)))
-        max_p = max(max_p, float(np.max(probs)))
-    return _pairwise_sum(parts), max_p, _pairwise_sum(parts_sq)
+    probs = tail_prob(law, weights * f_inv(law, gamma * x))
+    return float(probs @ counts), float(probs.max()), float((probs * probs) @ counts)
 
 
 def tail_sum_stats(
@@ -154,7 +134,7 @@ def tail_sum_stats(
     """(sum of p_n, max p_n, sum of p_n**2) over the box, exactly."""
     if gamma * x < law.f_at_clamp * (1.0 - 1e-13):
         raise DomainError("gamma * x below f(clamp_point)")
-    return _tail_sums(law, (w for _, w in walk_box(spec, alpha)), gamma, x)
+    return _tail_sums(law, orbit_weights(spec, alpha), orbit_table(spec)[1], gamma, x)
 
 
 def count_level(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float,
@@ -170,11 +150,12 @@ def count_level(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float,
     """
     if count > spec.site_count:
         return None
+    weights, counts = orbit_weights(spec, alpha), orbit_table(spec)[1]
     x, lo, hi = min(x_max, 1.0 / count), None, None
     for _ in range(COUNT_LEVEL_MAX_STEPS):
         if x * gamma < law.f_at_clamp:
             return lo
-        total = tail_sum_stats(spec, law, alpha, gamma, x)[0]
+        total = _tail_sums(law, weights, counts, gamma, x)[0]
         if total >= count:
             lo = x
             if total <= 2.0 * count or x >= x_max:
@@ -190,26 +171,18 @@ def count_level(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float,
     return lo
 
 
-def _checked_floor(law: TailLaw, weights: Iterable[np.ndarray]) -> float:
-    """`calibration_floor` over the box's weight chunks."""
-    lo = law.f_at_clamp * (1.0 + 1e-9)
-    s_lo = _tail_sums(law, weights, lo, 1.0)[0]
-    if s_lo < 1.0:
-        raise DomainError(f"no bracket: tail sum at minimal gamma is {s_lo} < 1")
-    return lo
-
-
-@functools.lru_cache(maxsize=64)
 def calibration_floor(spec: BoxSpec, law: TailLaw, alpha: float) -> float:
     """Least gamma the calibration searches from, just above f(clamp).
 
     The tail sum decreases in gamma, so when it is already below 1 there, no
-    gamma reaches it: raises DomainError. Costs one exact tail sum, cheap
-    enough to run when a config is validated; it is remembered per (box,
-    law, alpha), so the calibration of a validated box does not walk it
-    again for its floor.
+    gamma reaches it: raises DomainError. Costs one exact tail sum over the
+    box's orbit table, cheap enough to run when a config is validated.
     """
-    return _checked_floor(law, (w for _, w in walk_box(spec, alpha)))
+    lo = law.f_at_clamp * (1.0 + 1e-9)
+    s_lo = tail_sum_stats(spec, law, alpha, lo, 1.0)[0]
+    if s_lo < 1.0:
+        raise DomainError(f"no bracket: tail sum at minimal gamma is {s_lo} < 1")
+    return lo
 
 
 def gamma_calibrated(spec: BoxSpec, law: TailLaw, alpha: float) -> float:
@@ -222,11 +195,10 @@ def gamma_calibrated(spec: BoxSpec, law: TailLaw, alpha: float) -> float:
     if alpha == 0.0:
         return gamma_flat(spec)
     lo = calibration_floor(spec, law, alpha)
-    # the bisection walks the box once and sums over the held chunks
-    weights = [w for _, w in walk_box(spec, alpha)]
+    weights, counts = orbit_weights(spec, alpha), orbit_table(spec)[1]
 
     def sum_at(gamma: float) -> float:
-        return _tail_sums(law, weights, gamma, 1.0)[0]
+        return _tail_sums(law, weights, counts, gamma, 1.0)[0]
 
     hi = max(2.0 * lo, 1.0)
     for _ in range(CALIBRATION_MAX_ITER):

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 import scipy  # scipy.special loads on first use, not at import
 
-from .lattice import BoxSpec, check_capacity, walk_box
+from .lattice import BoxSpec, orbit_table, orbit_weights
 from .tails import DomainError, TailLaw, f_eval, tail_prob
 
 
@@ -566,15 +566,16 @@ def exact_max_cdf(spec: BoxSpec, law: TailLaw, alpha: float, x: float) -> float:
 def exact_max_cdf_ladder(
     spec: BoxSpec, law: TailLaw, alpha: float, x, radii: list[int]
 ) -> np.ndarray:
-    """exact_max_cdf at each x and several nested radii, from one box walk.
+    """exact_max_cdf at each x and several nested radii, from one orbit table.
 
     x is a scalar or an array; the result has one row per x, shape
     x.shape + (len(radii),). Every radius must lie in [1, spec.radius].
-    Sites are attributed to shells by their sup-norm radius, so the value at
+    Sites are attributed to shells by their sup-norm radius, the last
+    coordinate of their orbit (`lattice.orbit_table`), so the value at
     radius L accumulates exactly the shells s <= L; each row is nonincreasing
     in L by construction and lists the radii in the order of `radii`. Each
-    x's sums run in the same order as a walk for that x alone, so a row is
-    bitwise the same whichever other x share the walk.
+    x's shell sums are one `np.bincount` of its own, so a row is bitwise the
+    same whichever other x share the call.
     """
     xs = np.asarray(x, dtype=np.float64)
     if np.any(xs < 0):
@@ -583,25 +584,17 @@ def exact_max_cdf_ladder(
         raise ValueError(f"radii must lie in [1, {spec.radius}], got {list(radii)}")
     L_max = max(radii)
     big = BoxSpec(spec.dimension, L_max, spec.norm_kind)
-    check_capacity(big)  # before the shell arrays, as long as a d = 1 box
-    rows = xs.reshape(-1, 1)
-    shell_logs = np.zeros((rows.size, L_max + 1))
-    zero_shell = np.zeros((rows.size, L_max + 1), dtype=bool)
-    for coords, weight in walk_box(big, alpha):
-        shell = np.max(np.abs(coords), axis=1)
-        tails = tail_prob(law, weight * rows)
+    coords, counts = orbit_table(big)
+    weights, shell = orbit_weights(big, alpha), coords[:, -1]
+    table = np.zeros((xs.size, len(radii)))
+    for row, x_row in zip(table, xs.ravel()):
+        tails = tail_prob(law, weights * x_row)
         dead = tails >= 1.0
-        terms = np.zeros_like(tails)
-        terms[~dead] = np.log1p(-tails[~dead])
-        # ufunc.at adds each row's sites in walk order
-        for logs, zero, row_terms, row_dead in zip(shell_logs, zero_shell, terms, dead):
-            if np.any(row_dead):
-                np.logical_or.at(zero, shell[row_dead], True)
-            np.add.at(logs, shell, row_terms)
-    log_cum = np.cumsum(shell_logs, axis=1)
-    dead_cum = np.cumsum(zero_shell, axis=1) > 0
-    table = np.array([[0.0 if dead[r] else math.exp(logs[r]) for r in radii]
-                      for logs, dead in zip(log_cum, dead_cum)])
+        tails[dead] = 0.0  # a vanishing factor: 0 from its shell on
+        logs = np.cumsum(np.bincount(shell, weights=np.log1p(-tails) * counts,
+                                     minlength=L_max + 1))
+        first_dead = shell[dead].min() if dead.any() else L_max + 1
+        row[:] = [math.exp(logs[r]) if r < first_dead else 0.0 for r in radii]
     return table.reshape(xs.shape + (len(radii),))
 
 

@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from speclab.lattice import DEFAULT_SITE_CAP, BoxSpec, CapacityError, site_norm
+from speclab.lattice import DEFAULT_SITE_CAP, BoxSpec, CapacityError
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,24 @@ def enumerate_box(spec: BoxSpec, site_cap: int = DEFAULT_SITE_CAP) -> Iterator[S
         yield SiteIndex(site=site_of(spec, ordinal), ordinal=ordinal)
 
 
+def site_norm(site: np.ndarray, norm_kind: str) -> np.ndarray:
+    """|n| for one site (1-d array) or many sites (2-d array, one per row)."""
+    site = np.asarray(site, dtype=np.float64)
+    axis = site.ndim - 1
+    if norm_kind == "euclidean":
+        return np.sqrt(np.sum(site * site, axis=axis))
+    if norm_kind == "sup":
+        return np.max(np.abs(site), axis=axis)
+    raise ValueError(f"unknown norm_kind {norm_kind!r}")
+
+
 def site_weight(site, alpha: float, norm_kind: str) -> float:
-    """Decay weight (1 + |n|)**alpha of a single site; equals 1 when alpha=0."""
+    """Decay weight (1 + |n|)**alpha of a single site; equals 1 when alpha=0.
+
+    The power is taken on a one-element array: numpy's array loop for `**`
+    may round differently from the C library's scalar pow, and the package
+    takes it on arrays.
+    """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return float((1.0 + site_norm(np.asarray(site), norm_kind)) ** alpha)
+    return float(((1.0 + np.atleast_1d(site_norm(site, norm_kind))) ** alpha)[0])

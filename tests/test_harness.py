@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 
 from speclab.cli import build_parser, overrides_from
-from speclab import harness, openblas, scaling
+from speclab import harness, lattice, openblas
 from speclab.cli import main as cli_main
 from speclab.harness import (
     EXIT_ASSERT,
@@ -216,18 +216,15 @@ def test_a_validated_config_is_not_checked_again(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
-def test_a_calibrated_run_walks_each_box_once_for_its_floor(tmp_path, monkeypatch):
-    # validate() computes each radius's floor; the calibration reuses it
-    scaling.calibration_floor.cache_clear()
-    calls = []
-    floor = scaling._checked_floor
-    monkeypatch.setattr(scaling, "_checked_floor",
-                        lambda *args: calls.append(args) or floor(*args))
+def test_a_calibrated_run_builds_each_box_table_once(tmp_path):
+    # validate() checks each radius's floor, the run calibrates it and sums
+    # its x grid: all from one orbit table per radius
+    lattice.orbit_table.cache_clear()
     text = (Path(__file__).resolve().parent.parent / "configs" / "tailsum.cfg").read_text()
     cfg = parse_config_text(text, {"radii": "30,50", "out": str(tmp_path / "tailsum")})
-    assert len(calls) == 2
+    assert lattice.orbit_table.cache_info().misses == 2
     assert run_experiment(cfg)["exit_code"] == 0
-    assert len(calls) == 2
+    assert lattice.orbit_table.cache_info().misses == 2
 
 
 def test_capacity_rejected_where_the_run_needs_the_full_spectrum():
@@ -856,6 +853,26 @@ def test_a_slow_first_payload_pools_the_rest_at_once(tmp_path, monkeypatch, pool
     assert harness._map_trials(cfg, spy, items) == [str(i) for i in items]
     assert in_parent == [39]
     assert pool_log == [(2, items[:39])]
+
+
+def test_one_slow_payload_keeps_a_cheap_map_in_the_parent(tmp_path, monkeypatch, pool_log):
+    # on a fake clock the parent's chunk of 100 // (4 * 2) = 12 payloads
+    # takes 0.25 ms each but the third, at 1.5 ms. Their mean, 0.35 ms, would
+    # predict the other 88 at 31 ms, above POOL_START_S; their median
+    # predicts 22 ms, below it
+    usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(harness, "POOL_START_S", 0.025)
+    cfg = small_extremal_cfg(tmp_path, workers=2)
+    clock = [0.0]
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def payload(p):
+        clock[0] += 1.5e-3 if p == 97 else 2.5e-4
+        return str(p)
+
+    items = list(range(100))
+    assert harness._map_trials(cfg, payload, items) == [str(i) for i in items]
+    assert pool_log == []
 
 
 # split -> POOL_START_S: every payload on the pool; the last in the parent and

@@ -2,22 +2,26 @@ import inspect
 import itertools
 import math
 import tracemalloc
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 import pytest
 
 from speclab import lattice, operators, scaling, stats
 from speclab.lattice import (
+    NORM_KINDS,
     BoxSpec,
     CapacityError,
+    orbit_table,
     site_array,
-    walk_box,
     weights_array,
 )
 from speclab.operators import free_laplacian_eigs, sample_potential
 from speclab.scaling import calibration_floor, tail_sum_stats
 from speclab.stats import exact_max_cdf_ladder
-from speclab.tails import power_log, stretched_exp
+from speclab.tails import f_inv, power_log, stretched_exp, tail_prob
 
 from lattice_oracle import enumerate_box, ordinal_of, site_of, site_weight
 
@@ -158,15 +162,16 @@ def test_weights_array_is_remembered_read_only(spec):
     assert fresh is not w and fresh.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("norm_kind", ["euclidean", "sup"])
-def test_d1_weights_from_the_walk_are_the_closed_form_bit_for_bit(monkeypatch, norm_kind):
-    # |n| is exact for an integer under both norms, so chunk by chunk the walk
-    # gives the floats (1 + |n|)**alpha of each site's integer distance
-    monkeypatch.setattr(lattice, "WALK_CHUNK", 17)
-    for L, alpha in ((60, 0.7), (60, 0.5), (60, 2.0), (1000, 1.3)):
-        n = np.arange(-L, L + 1, dtype=np.float64)
-        assert (weights_array.__wrapped__(BoxSpec(1, L, norm_kind), alpha).tobytes()
-                == ((1.0 + np.abs(n)) ** alpha).tobytes())
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+def test_weights_are_the_oracle_site_weights_bit_for_bit(norm_kind):
+    # a site's sum of squares is an exact integer, so the outer sum gives the
+    # floats (1 + |n|)**alpha of each site's own norm
+    for d, L in ((1, 1000), (2, 20), (3, 6)):
+        spec = BoxSpec(d, L, norm_kind)
+        for alpha in (0.7, 0.5, 2.0, 1.3):
+            w = weights_array.__wrapped__(spec, alpha)
+            oracle = [site_weight(idx.site, alpha, norm_kind) for idx in enumerate_box(spec)]
+            assert w.tobytes() == np.array(oracle).tobytes(), (d, alpha)
 
 
 def test_sample_potential_values_do_not_depend_on_the_weights_cache():
@@ -183,34 +188,45 @@ def test_sample_potential_values_do_not_depend_on_the_weights_cache():
             assert got.tobytes() == expected.tobytes()
 
 
-def test_weight_chunks_concatenate_to_full_array(monkeypatch):
-    # the walk crosses chunk boundaries inside small boxes at WALK_CHUNK = 17;
-    # every box-wide reduction must agree with its one-chunk value
-    boxes = [BoxSpec(1, 60), BoxSpec(2, 6, "euclidean"), BoxSpec(2, 6, "sup")]
-    law, ladder_law = power_log(2.0, 0), stretched_exp(1.0)
+# boxes of up to a few hundred sites, where the oracle goes site by site
+BOXES = st.sampled_from([(1, 40), (2, 10), (3, 4)]).flatmap(
+    lambda d_max: st.builds(BoxSpec, st.just(d_max[0]), st.integers(1, d_max[1]),
+                            st.sampled_from(NORM_KINDS)))
+LAWS = st.one_of(st.builds(power_log, st.floats(0.5, 4.0), st.integers(0, 2)),
+                 st.builds(stretched_exp, st.floats(0.2, 1.0)))
 
-    def reductions(spec):
-        radii = [spec.radius // 3, spec.radius // 2, spec.radius]
-        return (tail_sum_stats(spec, law, 0.5, 10.0, 1.0),
-                exact_max_cdf_ladder(spec, ladder_law, 1.0, 5.0, radii))
 
-    one_chunk = [reductions(spec) for spec in boxes]
-    monkeypatch.setattr(lattice, "WALK_CHUNK", 17)
-    for spec, (sums, ladder) in zip(boxes, one_chunk):
-        chunks = list(walk_box(spec, 1.1))
-        assert len(chunks) == -(-spec.site_count // 17)
-        np.testing.assert_array_equal(np.concatenate([c for c, _ in chunks]), site_array(spec))
-        np.testing.assert_array_equal(np.concatenate([w for _, w in chunks]),
-                                      weights_array(spec, 1.1))
-        sums_17, ladder_17 = reductions(spec)
-        assert sums_17 == pytest.approx(sums, rel=1e-13)
-        np.testing.assert_allclose(ladder_17, ladder, rtol=1e-13)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=BOXES, law=LAWS, alpha=st.floats(0.0, 3.0), x=st.floats(1.0, 4.0),
+       gamma_factor=st.floats(1.0, 1e3), ladder_x=st.floats(0.5, 20.0))
+def test_orbit_sums_are_the_site_by_site_sums(spec, law, alpha, x, gamma_factor, ladder_x):
+    sites = [idx.site for idx in enumerate_box(spec)]
+    coords, counts = orbit_table(spec)
+    assert counts.sum() == spec.site_count
+    assert dict(zip(map(tuple, coords.tolist()), counts.tolist())) == Counter(
+        tuple(sorted(abs(c) for c in site)) for site in sites)
+    weights = [site_weight(site, alpha, spec.norm_kind) for site in sites]
+    # the tail sums: p_n at gamma * x, above f(clamp)
+    gamma = law.f_at_clamp * gamma_factor
+    threshold = f_inv(law, gamma * x)
+    probs = [tail_prob(law, w * threshold) for w in weights]
+    total, max_p, sum_sq = tail_sum_stats(spec, law, alpha, gamma, x)
+    assert total == pytest.approx(math.fsum(probs), rel=1e-14, abs=0.0)
+    assert max_p == max(probs)
+    assert sum_sq == pytest.approx(math.fsum(p * p for p in probs), rel=1e-14, abs=0.0)
+    # the ladder: at each radius, the product over the sites of sup norm at most it
+    radii = list(range(1, spec.radius + 1))
+    factors = [1.0 - tail_prob(law, w * ladder_x) for w in weights]
+    shells = [max(abs(c) for c in site) for site in sites]
+    oracle = [math.prod(f for f, s in zip(factors, shells) if s <= r) for r in radii]
+    np.testing.assert_allclose(exact_max_cdf_ladder(spec, law, alpha, ladder_x, radii),
+                               oracle, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("module", [lattice, operators, scaling, stats],
                          ids=lambda m: m.__name__)
 def test_no_function_takes_a_site_cap_or_chunk(module):
-    # the site cap is DEFAULT_SITE_CAP and the walk's chunk is WALK_CHUNK
+    # the site cap is DEFAULT_SITE_CAP
     functions = []
     for _, obj in inspect.getmembers(module):
         if getattr(obj, "__module__", None) != module.__name__:

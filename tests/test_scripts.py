@@ -57,3 +57,21 @@ def test_workers_differ_names_each_config_whose_outputs_move_with_the_worker_cou
     assert workers_differ({"maxlaw": run(2)}, serial) == ["workers-differ sandwich"]
     # a run that wrote nothing is its exit code alone
     assert fingerprint(1, tmp_path / "never") == {"exit": "1"}
+
+
+def test_main_times_each_printed_run_on_stderr(tmp_path, capsys):
+    # a tree of one small config, run on this checkout's source
+    main = runpy.run_path(str(SCRIPTS / "canonical_digests.py"))["main"]
+    (tmp_path / "src").symlink_to(SCRIPTS.parent / "src")
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "tailsum.cfg").write_text(
+        "experiment = tailsum\nradii = 10\nalpha = 0.5\nscaling_mode = calibrated\n"
+        "x_grid = 1\n")
+    assert main([str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "exit 0  tailsum"
+    assert [line.split("  ")[1] for line in lines[1:]] == [
+        "tailsum/manifest.json", "tailsum/tailsum_L10.csv", "tailsum/tailsum_summary.json"]
+    name, config, seconds = err.split()
+    assert (name, config) == ("time", "tailsum") and float(seconds) > 0.0

@@ -547,8 +547,8 @@ def test_exact_max_cdf_matches_direct_product():
 
 
 def test_exact_max_cdf_ladder_takes_an_array_of_x():
-    # the sandwich's grid: one walk gives a row per x, each bitwise the row
-    # of a walk for that x alone; its largest radius is exact_max_cdf there
+    # the sandwich's grid: one call gives a row per x, each bitwise the row
+    # of a call for that x alone; its largest radius is exact_max_cdf there
     law = stretched_exp(1.0)
     spec = BoxSpec(1, 100, "sup")
     radii = [25, 50, 100]
