@@ -21,21 +21,15 @@ is one dstebz call in the OpenBLAS scipy bundles, through ctypes
 so the values are the same floats, and a trial that bisects loads no
 `scipy.linalg`. Without that library or symbol it calls
 `scipy.linalg.lapack.dstebz`, and `path_module` has a pool preload it.
-Bisection and QL agree to rounding (sandwich's e1_h moved by at most 6e-15
-relative on configs/sandwich.cfg, measured).
 The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
 (scipy's `eigsh`) for the m largest eigenvalues, with every residual
 re-verified against the operator.
 
 `count_le(op, x)` counts a d=1 operator's eigenvalues at or below each point
-of x, in O(n) per point and without solving: `ids` reads its distances from
-these counts at d=1, so it takes no full spectrum there. Each count is the
-inertia of a twisted factorization H - x = N D N^T with the twist at the
-middle site, as LAPACK's dlaneg computes it (Fernando, SIAM J. Matrix Anal.
-Appl. 18, 1997; Dhillon & Parlett, Linear Algebra Appl. 387, 2004): by
-Sylvester's law, N(x) is the number of negative pivots in D, and the forward
-and backward Sturm sequences that make D run from both ends of the chain at
-once, in half the Python steps of a one-ended sweep.
+of x, in O(n) per point and without solving, so `ids` takes no spectrum at
+d=1. One twisted Sturm sweep from both ends of the chain counts every point;
+IEEE infinities pair each zero or tiny pivot with one of the opposite sign
+(Demmel, Dhillon & Ren, ETNA 3, 1995), so only the last step is clamped.
 """
 from __future__ import annotations
 
@@ -51,8 +45,8 @@ from .operators import DENSE_CAP_DEFAULT, LatticeOperator
 # LAPACK's pivmin for unit off-diagonals (dstebz: safe minimum * max(1, e^2))
 PIVMIN = np.finfo(np.float64).tiny
 # steps (a site from each end) per block of count_le, and the cap on a
-# block's pivots, which bounds its memory at 512 KiB a buffer for any number
-# of points
+# block's pivots, which bounds its one pivot buffer at 512 KiB for any
+# number of points
 STURM_BLOCK_SITES = 64
 STURM_BLOCK_VALUES = 1 << 16
 LANCZOS_TOL_DEFAULT = 1e-10
@@ -153,36 +147,38 @@ def count_le(op: LatticeOperator, x) -> np.ndarray:
     the twist at the middle site k = L of the n = 2L + 1 sites and the unit
     hopping, H - x = N D N^T, where N is unit lower bidiagonal above row k
     and unit upper bidiagonal below it, and D is diagonal with
-      - the forward pivots of the sites i < k: q_0 = V_0 - x,
-        q_i = (V_i - x) - 1/q_{i-1};
-      - the backward pivots of the sites i > k: r_{n-1} = V_{n-1} - x,
-        r_i = (V_i - x) - 1/r_{i+1};
+      - the forward pivots q_i = (V_i - x) - 1/q_{i-1} of the sites i < k;
+      - the backward pivots r_i = (V_i - x) - 1/r_{i+1} of the sites i > k,
+        with 1/q_{-1} = 1/r_n = 0;
       - the twist gamma_k = ((V_k - x) - 1/q_{k-1}) - 1/r_{k+1}.
     By Sylvester's law of inertia, H - x and D have equally many negative
-    eigenvalues, so N(x) is the number of negative entries of D (a one-ended
-    sweep, Barth, Martin & Wilkinson, Numer. Math. 9, 1967, counts the same
-    inertia). A pivot with |q| < PIVMIN, gamma included, is replaced by
-    -PIVMIN, LAPACK's convention (dlaebz), so an x equal to an eigenvalue is
-    counted.
+    eigenvalues, so N(x) is the number of negative entries of D, as in a
+    one-ended sweep (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 
-    Both ends are swept at once: the forward and backward pivots of all the
-    points form one array of 2 x.size values, so a pass takes L Python
-    steps, vectorized over the points, a block of steps at a time, in buffers
-    bounded by STURM_BLOCK_VALUES: no n x points array is formed. As dlaneg
-    does, a block first runs without the pivot check and is run again with
-    it only when one of its pivots came out tiny.
+    LAPACK (dlaebz) replaces a pivot with |q| < PIVMIN by -PIVMIN, so an x at
+    an eigenvalue is counted. IEEE arithmetic carries that rule with no check
+    (Demmel, Dhillon & Ren, ETNA 3, 1995): a pivot that is +-0 or below PIVMIN
+    is followed by a +-inf or huge one of the opposite sign, so the pair holds
+    one set sign bit, as the clamped pair does, and after it the chain is the
+    clamped one unless |V - x| at the next site is below about 1e-290. Pivots
+    are tallied by sign bit (-0.0 counts); the last step's, which have no
+    successor, and gamma are clamped.
+
+    Both ends run at once: L Python steps over 2 x.size pivots a pass, in one
+    buffer of STURM_BLOCK_VALUES at most. A NaN point raises ValueError.
     """
     if op.spec.dimension != 1:
         raise ValueError("count_le counts a d = 1 operator")
     x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("count_le got a NaN point")
     diag, n, p = op.diagonal, op.n, x.size
     # a d = 1 box has n = 2L + 1 sites: the twist is site L, and each step
     # takes site i forward and site n-1-i backward
     k = n // 2
     lanes = np.stack([diag[:k], diag[:k:-1]], axis=1)
     rows = max(1, min(STURM_BLOCK_SITES, STURM_BLOCK_VALUES // max(2 * p, 1)))
-    shifted = np.empty((rows, 2 * p))  # V_i - x for the block's steps
-    pivots = np.empty((rows, 2 * p))
+    pivots = np.empty((rows, 2 * p))  # V_i - x, then the pivot, in place
     recip = np.zeros(2 * p)  # 1/pivot of each lane's previous step
     negative = np.zeros(2 * p, dtype=np.int64)
     # bound once: the loop below is all ufunc calls, so their lookup counts
@@ -190,21 +186,17 @@ def count_le(op: LatticeOperator, x) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         for start in range(0, k, rows):
             b = min(rows, k - start)
-            shift, piv = shifted[:b], pivots[:b]
-            np.subtract(lanes[start:start + b, :, None], x, out=shift.reshape(b, 2, p))
-            carried = recip.copy()
-            for checked in (False, True):
-                np.copyto(recip, carried)
-                # unchecked, a zero pivot divides to an infinity: no NaN
-                # follows, and the block is run again
-                for shift_row, piv_row in zip(shift, piv):
-                    subtract(shift_row, recip, piv_row)
-                    if checked:
-                        np.copyto(piv_row, -PIVMIN, where=np.abs(piv_row) < PIVMIN)
-                    reciprocal(piv_row, recip)
-                if checked or np.abs(piv).min(initial=np.inf) >= PIVMIN:
-                    break
-            negative += np.count_nonzero(piv < 0.0, axis=0)
+            piv = pivots[:b]
+            np.subtract(lanes[start:start + b, :, None], x, out=piv.reshape(b, 2, p))
+            for row in piv:
+                subtract(row, recip, row)
+                reciprocal(row, recip)
+            if start + b == k:
+                # the last step's pivots have no successor: clamp them
+                np.copyto(piv[-1], -PIVMIN, where=np.abs(piv[-1]) < PIVMIN)
+                reciprocal(piv[-1], recip)
+            # at most STURM_BLOCK_SITES (< 256) rows: a byte holds the tally
+            negative += np.add.reduce(np.signbit(piv).view(np.uint8), axis=0, dtype=np.uint8)
         twist = (diag[k] - x) - recip[:p] - recip[p:]
     np.copyto(twist, -PIVMIN, where=np.abs(twist) < PIVMIN)
     return negative[:p] + negative[p:] + (twist < 0.0)

@@ -134,25 +134,33 @@ class SpectrumCounts:
 
 class WindowCounts:
     """The values of a spectrum in [lo, hi]: N_w(x) = N(min(x, hi)) - #{lambda < lo}
-    for x >= lo. Its two edges are counted with its first request."""
+    for x >= lo. Its two edges are counted with its first request and kept."""
 
     def __init__(self, whole: SpectrumCounts, lo: float, hi: float):
         self._whole = whole
         self._edges = np.array([np.nextafter(lo, -np.inf), hi])
+        self._span = None  # N at the two edges, once counted
+
+    def _clip(self, c) -> np.ndarray:
+        if self._span is None:
+            self(np.empty(0))
+        below, top = self._span
+        return np.minimum(np.maximum(c - below, 0), top - below)  # np.clip is slower
 
     @property
     def size(self) -> int:
-        below, top = self._whole(self._edges)
-        return int(top - below)
+        return int(self._clip(self._whole.size))  # N_w at +inf
 
     def bracket(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        below, top = self._whole(self._edges)
-        return tuple(np.clip(c - below, 0, top - below) for c in self._whole.bracket(x))
+        return tuple(self._clip(c) for c in self._whole.bracket(x))
 
     def __call__(self, x) -> np.ndarray:
-        c = self._whole(np.concatenate([np.asarray(x, dtype=np.float64), self._edges]))
-        below, top = c[-2:]
-        return np.clip(c[:-2] - below, 0, top - below)
+        x = np.asarray(x, dtype=np.float64)
+        if self._span is not None:
+            return self._clip(self._whole(x))
+        c = self._whole(np.concatenate([x, self._edges]))
+        self._span = c[-2:]
+        return self._clip(c[:-2])
 
 
 def _ordered(y: np.ndarray) -> np.ndarray:

@@ -3,8 +3,11 @@
 The package solves H = hopping + V on the path `speclab.eigen.solver_path`
 picks (`full_spectrum`, `extremal_topk`); these build the whole matrix and
 hand it to numpy's symmetric solver, and give the free chain as H with a
-zero potential. `count_le_one_ended` is the one-ended Sturm sweep that
-`speclab.eigen.count_le` replaced by a twisted one, kept as its reference.
+zero potential. Two Sturm counts are kept as references for
+`speclab.eigen.count_le`: `count_le_one_ended`, the one-ended sweep it
+replaced by a twisted one, and `count_le_clamped`, the twisted sweep with
+LAPACK's pivot clamp at every step, which `count_le` applies at the last
+step alone.
 """
 from __future__ import annotations
 
@@ -67,3 +70,31 @@ def count_le_one_ended(op: LatticeOperator, x) -> np.ndarray:
                 break
         counts += np.count_nonzero(piv < 0.0, axis=0)
     return counts
+
+
+def count_le_clamped(op: LatticeOperator, x) -> np.ndarray:
+    """#{eigenvalues <= x} of a d=1 operator, at every point of the 1-D array x.
+
+    The twisted Sturm count of `speclab.eigen.count_le` (twist at the middle
+    site k, forward pivots q_i of the sites i < k, backward pivots r_i of the
+    sites i > k, and gamma_k = ((V_k - x) - 1/q_{k-1}) - 1/r_{k+1}) with
+    every pivot checked: one with |q| < PIVMIN, gamma included, is replaced
+    by -PIVMIN, LAPACK's convention (dlaebz), before its reciprocal is taken.
+    N(x) is the number of negative pivots. One Python step a site pair, the
+    points vectorized.
+    """
+    if op.spec.dimension != 1:
+        raise ValueError("count_le counts a d = 1 operator")
+    x = np.asarray(x, dtype=np.float64)
+    diag, k = op.diagonal, op.n // 2
+    recip = np.zeros((2, x.size))  # 1/pivot of each end's previous step
+    negative = np.zeros(x.size, dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        for i in range(k):
+            piv = (np.array([diag[i], diag[-1 - i]])[:, None] - x) - recip
+            np.copyto(piv, -PIVMIN, where=np.abs(piv) < PIVMIN)
+            negative += np.count_nonzero(piv < 0.0, axis=0)
+            recip = 1.0 / piv
+        twist = ((diag[k] - x) - recip[0]) - recip[1]
+    np.copyto(twist, -PIVMIN, where=np.abs(twist) < PIVMIN)
+    return negative + (twist < 0.0)

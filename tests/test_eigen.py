@@ -9,6 +9,7 @@ import scipy.linalg
 from speclab import openblas
 from speclab.eigen import (
     STURM_BLOCK_SITES,
+    STURM_BLOCK_VALUES,
     _bundled_dstebz,
     count_le,
     extremal_topk,
@@ -27,7 +28,7 @@ from speclab.operators import (
 )
 from speclab.tails import power_log
 
-from eigen_oracle import count_le_one_ended, dense_eigs, free_operator
+from eigen_oracle import count_le_clamped, count_le_one_ended, dense_eigs, free_operator
 
 
 def make_instance(d, L, alpha=0.5, law=power_log(2.0, 0), seed=0, trial=0):
@@ -328,6 +329,43 @@ def test_count_le_counts_an_eigenvalue_where_the_twist_pivot_is_zero(L):
     v[[0, -1]] = 1.0
     op = build_hamiltonian(spec, PotentialSample(spec=spec, omegas=v, values=v))
     np.testing.assert_array_equal(count_le(op, np.array([-1e-3, 0.0])), [0, 1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    # L steps around one and two blocks of STURM_BLOCK_SITES; over
+    # STURM_BLOCK_VALUES / (2 STURM_BLOCK_SITES) points a block is shorter
+    L=st.one_of(st.sampled_from([1, 2, STURM_BLOCK_SITES - 1, STURM_BLOCK_SITES,
+                                 STURM_BLOCK_SITES + 1, 2 * STURM_BLOCK_SITES + 1]),
+                st.integers(1, 150)),
+    kind=st.sampled_from(["integer", "half-integer", "constant", "alternating"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    points=st.sampled_from([1, 7, STURM_BLOCK_VALUES // (2 * STURM_BLOCK_SITES) + 1, 3000]),
+)
+def test_count_le_equals_the_clamped_sweep_on_degenerate_inputs(L, kind, seed, points):
+    # exact arithmetic lands pivots on +-0 and below PIVMIN: along the chain
+    # IEEE infinities count them as the clamp does, and the last step's
+    # pivots, which have no successor, are clamped
+    spec = BoxSpec(1, L)
+    rng = np.random.default_rng(seed)
+    n = spec.site_count
+    v = {"integer": lambda: rng.integers(-3, 4, n).astype(np.float64),
+         "half-integer": lambda: rng.integers(-6, 7, n) / 2.0,
+         "constant": lambda: np.full(n, float(rng.integers(-2, 3))),
+         "alternating": lambda: rng.integers(0, 3) * (-1.0) ** np.arange(n)}[kind]()
+    op = build_hamiltonian(spec, PotentialSample(spec=spec, omegas=v, values=v))
+    # a quarter grid, the diagonal entries, both zeros and subnormals
+    x = rng.choice(np.concatenate([np.arange(-24, 25) / 4.0, v,
+                                   [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]]), points)
+    np.testing.assert_array_equal(count_le(op, x), count_le_clamped(op, x))
+
+
+def test_count_le_rejects_nan_and_counts_the_infinities():
+    spec, pot = make_instance(1, 70)
+    op = build_hamiltonian(spec, pot)
+    np.testing.assert_array_equal(count_le(op, np.array([-np.inf, np.inf])), [0, op.n])
+    with pytest.raises(ValueError, match="NaN"):
+        count_le(op, np.array([0.0, np.nan]))
 
 
 def test_count_le_counts_d1_alone():

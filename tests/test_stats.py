@@ -185,6 +185,31 @@ def test_distances_from_counts_on_spectrum_sized_samples(seed):
     assert len(passes) == made
 
 
+def test_a_window_counts_its_edges_once():
+    # the first request counts the edges with its points in one pass; after
+    # it, size, bracket and later requests never ask the whole for them
+    a = np.arange(10.0)
+    passes, asked = [], []
+    counter = sorted_counter(a)
+    whole = SpectrumCounts(lambda x: passes.append(x.tolist()) or counter(x), a.size)
+    bulk = whole.window(2.0, 6.5)
+    edges = [np.nextafter(2.0, -np.inf), 6.5]
+    call = SpectrumCounts.__call__
+
+    def spy(self, x):
+        asked.append(np.asarray(x, dtype=np.float64).tolist())
+        return call(self, x)
+
+    with mock.patch.object(SpectrumCounts, "__call__", spy):
+        np.testing.assert_array_equal(bulk(np.array([3.0, 5.0])), [2, 4])
+        assert passes == [sorted([3.0, 5.0] + edges)]
+        assert bulk.size == 5
+        assert [c.tolist() for c in bulk.bracket(np.array([4.0, 9.0]))] == [[2, 5], [4, 5]]
+        np.testing.assert_array_equal(bulk(np.array([4.0])), [3])
+    assert passes[1:] == [[4.0]]
+    assert not any(e in x for x in asked[1:] for e in edges)
+
+
 @pytest.mark.parametrize("batch", [4, 16, 64])
 def test_levy_counts_at_most_count_batch_points_per_pass(batch):
     # a level with more undecided points than one pass holds counts them in
