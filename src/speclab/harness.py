@@ -56,6 +56,7 @@ from .scaling import (
     tail_sum_stats,
 )
 from .stats import (
+    RescaledPointSet,
     SpectrumCounts,
     count_in_intervals,
     exact_max_cdf_ladder,
@@ -108,6 +109,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+@functools.cache
+def _build_seed() -> np.random.SeedSequence:
+    """What a generator is built from before `rekey` sets its key and
+    counter: made once, since a new SeedSequence costs more than the Philox
+    it seeds, and on first use, so that importing this module does not load
+    numpy.random."""
+    return np.random.SeedSequence(0)
+
+
 def derive_stream(
     master_seed: int, trial_index: int, stream_index: int = 0
 ) -> np.random.Generator:
@@ -115,13 +125,34 @@ def derive_stream(
 
     Philox is counter-based: the key is (master_seed, trial_index) and the
     counter is advanced by stream_index * 2**64 blocks, so distinct triples
-    address disjoint segments of one keyed sequence.
+    address disjoint segments of one keyed sequence. Each call builds a new
+    generator; `rekey` moves one already built to another triple.
     """
-    key = np.array([master_seed, trial_index], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    if stream_index:
-        bitgen.advance(int(stream_index) << 64)
-    return np.random.Generator(bitgen)
+    return rekey(np.random.Generator(np.random.Philox(_build_seed())), master_seed,
+                 trial_index, stream_index)
+
+
+def rekey(rng: np.random.Generator, master_seed: int, trial_index: int,
+          stream_index: int = 0) -> np.random.Generator:
+    """`rng`, its Philox bit generator set to the start of the stream of
+    (master_seed, trial_index, stream_index), with nothing buffered; it then
+    draws what `derive_stream` of the triple draws.
+
+    The state is the key and the counter (0, stream_index, 0, 0), the
+    256-bit block counter advanced by stream_index * 2**64. Setting it costs
+    a few microseconds, where a new `Philox(key=...)` also builds and hashes
+    a SeedSequence that the key then replaces.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([0, stream_index, 0, 0], dtype=np.uint64),
+                  "key": np.array([master_seed, trial_index], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +408,10 @@ def _top_plan(cfg: ExperimentConfig, L: int, gamma: float) -> TopPlan | None:
 
 
 def _extremal_trial(args):
-    """One trial of the extremal/maxlaw pipeline at one box radius.
+    """A block of consecutive trials of the extremal/maxlaw pipeline at one
+    box radius; `args` is (cfg, L, gamma, trials), `trials` a range. Returns
+    {"rows": one dict per trial, in trial order, "wall": the block's time}.
+    Trials that solve H come in blocks of one (`_block_length`).
 
     H is solved for its top m = `resolved_top_m()` eigenvalues. When the run
     counts intervals, the solve is repeated with m doubled (capped at n)
@@ -385,58 +419,65 @@ def _extremal_trial(args):
     least the lowest interval start; every eigenvalue an interval can see is
     then in the solve, so the counts are exact given the solver's top set.
 
-    A V-only trial evaluates only the sites its radius's `TopPlan` keeps
-    (`top_values`). Each source rescales its positive values, only the top m
-    of them when the run counts no intervals, and `dropped` counts the
-    values among the top m that lie below the law's point floor.
+    A V-only block evaluates only the sites its radius's `TopPlan` keeps
+    (`top_values`), inverting the tail law once for the block, and draws
+    each trial's uniforms from one generator re-keyed per trial (`rekey`).
+    Each source rescales its positive values in one `rescale` call per
+    block, only each trial's top m of them when the run counts no intervals,
+    and `dropped` counts the values among a trial's top m that lie below
+    the law's point floor.
     """
-    cfg, L, gamma, trial = args
+    cfg, L, gamma, trials = args
     t0 = time.perf_counter()
-    spec = cfg.box(L)
-    rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
-    out = {"trial": trial, "L": L}
-    m = cfg.resolved_top_m()
+    spec, law, m = cfg.box(L), cfg.law, cfg.resolved_top_m()
     with_counts = bool(cfg.intervals)
+    # source -> (descending values, solver residual, converged) per trial
+    solved: dict[str, list[tuple[np.ndarray, float, bool]]] = {}
     if cfg.source == "V":
-        v_desc = top_values(spec, cfg.law, cfg.alpha, rng, _top_plan(cfg, L, gamma), m)
+        rng = derive_stream(cfg.master_seed, trials[0])  # re-keyed for each trial
+        streams = [functools.partial(rekey, rng, cfg.master_seed, t, STREAM_POTENTIAL)
+                   for t in trials]
+        solved["V"] = [(desc, 0.0, True) for desc in top_values(
+            spec, law, cfg.alpha, streams, _top_plan(cfg, L, gamma), m)]
     else:
-        potential = sample_potential(spec, cfg.law, cfg.alpha, rng)
-    for source in ("V", "H"):
-        if cfg.source != "both" and cfg.source != source:
-            continue
-        if source == "V":
-            desc = v_desc if cfg.source == "V" else v_spectrum(potential)
-            resid, converged = 0.0, True
-        else:
-            op = build_hamiltonian(spec, potential)
-            k = m
-            while True:
-                spectrum = _solve_h(cfg, op, trial, k)
-                # values ascend: the first is the smallest of the top k
-                if not (with_counts and spectrum.values.size == k < op.n
-                        and rescale(spectrum.values[:1], cfg.law, gamma).top
-                        >= min(a for a, _ in cfg.intervals)):
-                    break
-                k = min(2 * k, op.n)
-            desc = spectrum.values[::-1]
-            resid = (0.0 if spectrum.residuals is None
-                     else float(np.max(spectrum.residuals, initial=0.0)))
-            converged = spectrum.converged
-        eigs = desc[desc > 0.0]
-        if not with_counts:
-            eigs = eigs[:m]
-        points = rescale(eigs, cfg.law, gamma)
-        out[source] = {
-            "e1_raw": float(eigs[0]) if eigs.size else 0.0,
-            "e1": points.top,
-            "dropped": min(eigs.size, m) - min(points.points.size, m),
-            "points": points.points[:m].tolist(),
-            "counts": count_in_intervals(points, cfg.intervals).tolist() if with_counts else [],
-            "resid": resid,
-            "converged": bool(converged),
-        }
-    out["wall"] = time.perf_counter() - t0
-    return out
+        (trial,) = trials
+        potential = sample_potential(spec, law, cfg.alpha,
+                                     derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL))
+        if cfg.source == "both":
+            solved["V"] = [(v_spectrum(potential), 0.0, True)]
+        op = build_hamiltonian(spec, potential)
+        k = m
+        while True:
+            spectrum = _solve_h(cfg, op, trial, k)
+            # values ascend: the first is the smallest of the top k
+            if not (with_counts and spectrum.values.size == k < op.n
+                    and rescale(spectrum.values[:1], law, gamma).top
+                    >= min(a for a, _ in cfg.intervals)):
+                break
+            k = min(2 * k, op.n)
+        resid = (0.0 if spectrum.residuals is None
+                 else float(np.max(spectrum.residuals, initial=0.0)))
+        solved["H"] = [(spectrum.values[::-1], resid, spectrum.converged)]
+    rows = [{"trial": t, "L": L} for t in trials]
+    for source, per_trial in solved.items():
+        eigs = [desc[desc > 0.0] if with_counts else desc[desc > 0.0][:m]
+                for desc, _, _ in per_trial]
+        # rescale keeps each trial's values at or above the floor, a prefix
+        points = rescale(np.concatenate(eigs), law, gamma).points
+        stop = 0
+        for row, e, (_, resid, converged) in zip(rows, eigs, per_trial):
+            start, stop = stop, stop + int(np.count_nonzero(e >= law.point_floor))
+            kept = RescaledPointSet(points[start:stop])
+            row[source] = {
+                "e1_raw": float(e[0]) if e.size else 0.0,
+                "e1": kept.top,
+                "dropped": min(e.size, m) - min(stop - start, m),
+                "points": kept.points[:m].tolist(),
+                "counts": count_in_intervals(kept, cfg.intervals).tolist() if with_counts else [],
+                "resid": resid,
+                "converged": bool(converged),
+            }
+    return {"rows": rows, "wall": time.perf_counter() - t0}
 
 
 def _ids_trial(args):
@@ -555,13 +596,27 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     return pooled + tail[::-1]
 
 
-def _map_radii(cfg: ExperimentConfig, worker, payload: Callable) -> dict[int, list]:
-    """One `_map_trials` call over payload(L, t) for every radius and trial,
-    the largest radius first so that its long trials start first; each
-    radius's results come back in trial order."""
+def _block_length(cfg: ExperimentConfig) -> int:
+    """Trials per payload of an extremal or maxlaw map: one for trials that
+    solve H, and trials // (8 * workers), at least one, for V-only trials,
+    whose fixed per-call costs a block shares. A radius then still maps at
+    least 8 * workers payloads, or one per trial, so `_map_trials`'s head
+    times at least two of them, and one slow payload (a garbage collection,
+    a cold cache) cannot send a cheap map to a pool."""
+    return 1 if cfg.source != "V" else max(1, cfg.trials // (8 * cfg.workers))
+
+
+def _map_radii(cfg: ExperimentConfig, worker, payload: Callable,
+               block: int = 1) -> dict[int, list]:
+    """One `_map_trials` call over payload(L, trials) for every radius and
+    every run of `block` consecutive trials (a range), the largest radius
+    first so that its long trials start first; each radius's results come
+    back in trial order, one per block."""
     radii, n = cfg.radii[::-1], cfg.trials  # validate() holds radii increasing
-    results = _map_trials(cfg, worker, [payload(L, t) for L in radii for t in range(n)])
-    return {L: results[i * n:(i + 1) * n] for i, L in enumerate(radii)}
+    blocks = [range(t, min(t + block, n)) for t in range(0, n, block)]
+    results = _map_trials(cfg, worker, [payload(L, b) for L in radii for b in blocks])
+    k = len(blocks)
+    return {L: results[i * k:(i + 1) * k] for i, L in enumerate(radii)}
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +682,10 @@ def _run_extremal(cfg: ExperimentConfig, out: Path):
     for L, gamma in gammas.items():
         # each radius's V sampling plan, cached here so the workers inherit it
         _top_plan(cfg, L, gamma)
-    by_radius = _map_radii(cfg, _extremal_trial, lambda L, t: (cfg, L, gammas[L], t))
+    by_radius = _map_radii(cfg, _extremal_trial, lambda L, ts: (cfg, L, gammas[L], ts),
+                           _block_length(cfg))
     for L, gamma in gammas.items():
-        results = by_radius[L]
+        results = [row for block in by_radius[L] for row in block["rows"]]
         rows = []
         entry: dict = {"gamma": gamma, "mode": cfg.scaling_mode, "sources": {}}
         for res in results:
@@ -696,7 +752,7 @@ def _run_ids(cfg: ExperimentConfig, out: Path):
     summary: dict = {"per_L": {}}
     checks: dict[str, bool] = {}
     means = []
-    by_radius = _map_radii(cfg, _ids_trial, lambda L, t: (cfg, L, t))
+    by_radius = _map_radii(cfg, _ids_trial, lambda L, ts: (cfg, L, ts.start))
     for L in cfg.radii:
         results = by_radius[L]
         rows = [[str(r["trial"]), str(L), _fmt(r["ks_bulk"]), _fmt(r["levy_bulk"]),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,25 +120,41 @@ def top_plan(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float, count: flo
     return TopPlan(level=level, check=check, keep=keep)
 
 
-def top_values(spec: BoxSpec, law: TailLaw, alpha: float, rng: np.random.Generator,
-               plan: TopPlan | None, m: int) -> np.ndarray:
-    """V's values in descending order, every value that can rescale to at
-    least the plan's x_c among them.
+def top_values(spec: BoxSpec, law: TailLaw, alpha: float,
+               streams: Sequence[Callable[[], np.random.Generator]],
+               plan: TopPlan | None, m: int) -> list[np.ndarray]:
+    """V's values in descending order for each trial of a block, every value
+    that can rescale to at least the plan's x_c among them.
 
-    Draws the uniforms of `sample_potential` from `rng` and inverts the tail
-    law only at the sites the plan keeps; each value is the same float
-    `sample_potential` gives. Without a plan, or when fewer than m evaluated
-    values reach `plan.check`, every site is evaluated and every value
-    returned.
+    streams[i]() returns trial i's generator at the start of the uniforms
+    `sample_potential` draws, and each value is the float `sample_potential`
+    gives. The tail law is inverted once for the block, at the sites the
+    plan keeps in each trial. Without a plan, or for a trial with fewer than
+    m evaluated values at `plan.check`, the trial's uniforms are drawn again
+    and every site is evaluated and returned.
     """
-    u = _uniforms(spec, rng)
     w = weights_array(spec, alpha)
+    out: list = [None] * len(streams)
     if plan is not None:
-        at = np.flatnonzero(u <= plan.keep)
-        values = sample_omega_array(law, u[at]) / w[at]
-        if np.count_nonzero(values >= plan.check) >= m:
-            return np.sort(values)[::-1]
-    return np.sort(sample_omega_array(law, u) / w)[::-1]
+        kept_u, kept_at = [], []
+        for stream in streams:
+            u = _uniforms(spec, stream())
+            at = (u <= plan.keep).nonzero()[0]
+            kept_u.append(u[at])
+            kept_at.append(at)
+        at = np.concatenate(kept_at)
+        values = sample_omega_array(law, np.concatenate(kept_u)) / w[at]
+        sizes = [a.size for a in kept_at]
+        ends = np.cumsum(sizes)
+        # each trial's values ascending, trial after trial
+        ranked = values[np.lexsort((values, np.repeat(np.arange(len(sizes)), sizes)))]
+        reached = np.concatenate(([0], np.cumsum(ranked >= plan.check)))
+        for i in np.flatnonzero(reached[ends] - reached[ends - sizes] >= m):
+            out[i] = ranked[ends[i] - sizes[i]:ends[i]][::-1]
+    for i, stream in enumerate(streams):
+        if out[i] is None:
+            out[i] = np.sort(sample_omega_array(law, _uniforms(spec, stream())) / w)[::-1]
+    return out
 
 
 def restrict_potential(potential: PotentialSample, radius: int) -> PotentialSample:

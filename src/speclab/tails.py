@@ -175,22 +175,28 @@ def tail_prob(law: TailLaw, x):
     """min(1, 1/f(x)) above the clamp, 1 below it. Scalar or array.
 
     1/f is formed directly (exp(-x**delta), or x**(-p) * log(x)**k) so huge
-    arguments underflow to 0 instead of overflowing f.
+    arguments underflow to 0 instead of overflowing f. It is formed at every
+    x, in place in the result (k >= 1 adds one array, the log factor), and
+    the x below the clamp are then set to 1: no compacted copies of x. There
+    x**(-p) and log(x)**k can divide by zero or overflow, so those warnings
+    are off.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(arr < 0):
         raise DomainError("tail_prob requires x >= 0")
-    out = np.ones_like(arr)
-    mask = arr >= law.clamp_point
-    if np.any(mask):
-        vals = arr[mask]
-        if law.family == "power_log":
-            inv = vals ** (-law.p)
+    if law.family == "power_log":
+        with np.errstate(divide="ignore", over="ignore"):
+            out = arr ** (-law.p)
             if law.k:
-                inv = inv * np.log(vals) ** law.k
-        else:
-            inv = np.exp(-(vals ** law.delta))
-        out[mask] = np.minimum(1.0, inv)
+                logs = np.log(arr)
+                logs **= law.k
+                out *= logs
+    else:
+        out = arr ** law.delta
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+    np.minimum(out, 1.0, out=out)
+    np.copyto(out, 1.0, where=~(arr >= law.clamp_point))
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out[0])
     return out

@@ -2,9 +2,10 @@
 
 The package samples and sums vectorized (`speclab.tails.sample_omega_array`,
 `speclab.scaling.tail_sum_stats`); these are the one-value and
-sum-only forms the tests compare against, and a second inverse of the
+sum-only forms the tests compare against, a second inverse of the
 log-corrected power law, through the Lambert W function, to check the
-package's Newton inverse against.
+package's Newton inverse against, and the compacting form of
+`speclab.tails.tail_prob`, which the in-place one must match bit for bit.
 """
 from __future__ import annotations
 
@@ -74,3 +75,25 @@ def lambert_f_inv(law: TailLaw, y):
     the Lambert W closed form; never below `clamp_point`."""
     s = _log_f_root(law.p, law.k, np.log(y), math.log(law.clamp_point))
     return np.maximum(np.exp(s), law.clamp_point)
+
+
+def compacted_tail_prob(law: TailLaw, x):
+    """min(1, 1/f(x)) above the clamp, 1 below it, formed on a compacted copy
+    of the x at or above the clamp and scattered back into an array of ones."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if np.any(arr < 0):
+        raise DomainError("tail_prob requires x >= 0")
+    out = np.ones_like(arr)
+    mask = arr >= law.clamp_point
+    if np.any(mask):
+        vals = arr[mask]
+        if law.family == "power_log":
+            inv = vals ** (-law.p)
+            if law.k:
+                inv = inv * np.log(vals) ** law.k
+        else:
+            inv = np.exp(-(vals ** law.delta))
+        out[mask] = np.minimum(1.0, inv)
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return float(out[0])
+    return out

@@ -498,7 +498,7 @@ def test_dropped_counts_the_top_m_values_below_the_floor_for_v_and_h(overrides, 
     (L,), m, floor = cfg.radii, cfg.resolved_top_m(), cfg.law.point_floor
     gamma = harness.resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha)
     for trial in range(3):
-        got = harness._extremal_trial((cfg, L, gamma, trial))
+        (got,) = harness._extremal_trial((cfg, L, gamma, range(trial, trial + 1)))["rows"]
         pot = sample_potential(cfg.box(L), cfg.law, cfg.alpha,
                                derive_stream(cfg.master_seed, trial, 0))
         h = scipy.linalg.eigvalsh_tridiagonal(pot.values, np.ones(pot.values.size - 1))
@@ -530,30 +530,42 @@ def test_ids_run_small(tmp_path):
     assert (Path(cfg.out_dir) / "ids_L150.csv").exists()
 
 
-@pytest.mark.parametrize("kw", [
-    dict(experiment="ids", radii=(20, 40), ks_threshold=0.5),
-    dict(radii=(20, 40), scaling_mode="power", alpha=0.25),
-], ids=["ids", "extremal"])
-def test_a_run_maps_every_radius_and_trial_in_one_pool_call(tmp_path, monkeypatch, kw):
+@pytest.mark.parametrize("kw, block", [
+    (dict(experiment="ids", radii=(20, 40), ks_threshold=0.5), None),
+    (dict(radii=(20, 40), scaling_mode="power", alpha=0.25), 1),
+    # V-only trials come in blocks of 40 // (8 * 2) = 2
+    (dict(radii=(20, 40), scaling_mode="power", alpha=0.25, source="V", trials=40), 2),
+], ids=["ids", "extremal", "extremal-V"])
+def test_a_run_maps_every_radius_and_trial_in_one_pool_call(tmp_path, monkeypatch, kw, block):
     maps = []
     real = harness._map_trials
 
     def spy(cfg, worker, payloads):
-        maps.append([(p[1], p[-1]) for p in payloads])  # (L, trial)
+        maps.append([(p[1], p[-1]) for p in payloads])  # (L, trial or block)
         return real(cfg, worker, payloads)
 
     monkeypatch.setattr(harness, "_map_trials", spy)
-    cfg = small_extremal_cfg(tmp_path, trials=3, workers=2, **kw)
+    cfg = small_extremal_cfg(tmp_path, **{"trials": 3, "workers": 2, **kw})
+    n = cfg.trials
     summary = run_experiment(cfg)
     # radius-major, the largest radius first, and each radius folds its own
-    # trials in order
-    assert maps == [[(L, t) for L in sorted(cfg.radii, reverse=True) for t in range(3)]]
+    # trials in order. An ids payload ends in its trial, an extremal one in
+    # its block of consecutive trials: one trial each where trials solve H
+    radii = sorted(cfg.radii, reverse=True)
+    if block is None:
+        assert maps == [[(L, t) for L in radii for t in range(n)]]
+    else:
+        assert maps == [[(L, range(t, min(t + block, n))) for L in radii
+                         for t in range(0, n, block)]]
     assert set(summary["per_L"]) == {"20", "40"}
     for L in cfg.radii:
         lines = (Path(cfg.out_dir) / f"{cfg.experiment}_L{L}.csv").read_text().splitlines()
         rows = [r.split(",")[:2] for r in lines[1:]]
         assert rows == sorted(rows, key=lambda r: int(r[0]))
-        assert {tuple(r) for r in rows} == {(str(t), str(L)) for t in range(3)}
+        assert {tuple(r) for r in rows} == {(str(t), str(L)) for t in range(n)}
+        # a row per trial, and an extremal row per source of both
+        assert len(rows) == n * (2 if cfg.experiment == "extremal" and cfg.source == "both"
+                                 else 1)
 
 
 def test_ids_d2_rows_equal_the_sample_distances_of_the_dense_spectrum(tmp_path):
@@ -793,6 +805,39 @@ def test_a_cheap_map_builds_no_pool(tmp_path, monkeypatch, pool_log):
     items = list(range(100))
     assert harness._map_trials(cfg, str, items) == [str(i) for i in items]
     assert pool_log == []
+
+
+def logtail_cfg(tmp_path, **overrides):
+    """The benchmark's maxlaw-logtail run: configs/maxlaw.cfg at the k = 1
+    law, 100 V-only trials on 2 workers."""
+    text = (Path(__file__).resolve().parent.parent / "configs" / "maxlaw.cfg").read_text()
+    return parse_config_text(text, {"family": "power_log", "p": "2", "k": "1", "trials": "100",
+                                    "workers": "2", "out": str(tmp_path / "o"),
+                                    **overrides})
+
+
+def test_the_logtail_run_builds_no_pool(tmp_path, monkeypatch, pool_log):
+    # its 17 blocks of up to 6 trials take a few ms in all: the parent's
+    # first two predict the rest below POOL_START_S. The first run warms up
+    usable_cores(monkeypatch, 2)
+    cfg = logtail_cfg(tmp_path)
+    assert harness._block_length(cfg) == 6
+    run_experiment(cfg)
+    pool_log.clear()
+    assert run_experiment(cfg)["exit_code"] == 0
+    assert pool_log == []
+
+
+def test_a_long_v_only_run_still_builds_a_pool(tmp_path, monkeypatch, pool_log):
+    # 100 001 sites a trial: each block of 10 trials draws a million
+    # uniforms, and the parent's first one or two of the 16 blocks predict
+    # the rest far above POOL_START_S
+    usable_cores(monkeypatch, 2)
+    cfg = logtail_cfg(tmp_path, radii="50000", trials="160")
+    assert run_experiment(cfg)["exit_code"] == 0
+    [(size, batch)] = pool_log
+    blocks = [range(t, t + 10) for t in range(0, 160, 10)]
+    assert size == 2 and [p[-1] for p in batch] in (blocks[:15], blocks[:14])
 
 
 def test_a_map_of_less_than_a_chunk_runs_nothing_in_the_parent(

@@ -15,7 +15,7 @@ from speclab.tails import (
     stretched_exp,
     tail_prob,
 )
-from tails_oracle import lambert_f_inv, sample_omega, site_tail_prob
+from tails_oracle import compacted_tail_prob, lambert_f_inv, sample_omega, site_tail_prob
 
 ALL_LAWS = [
     power_log(2.0, 0),
@@ -337,6 +337,50 @@ def test_tail_prob_nonincreasing(law):
 def test_tail_prob_huge_argument_underflows_quietly():
     with np.errstate(over="raise", invalid="raise"):
         assert tail_prob(stretched_exp(1.0), 1e6) == 0.0
+
+
+TAIL_PROB_LAWS = st.one_of(
+    st.builds(power_log, st.floats(0.1, 6.0), st.sampled_from([0, 1, 2])),
+    st.builds(stretched_exp, st.floats(0.01, 1.0)),
+)
+
+
+@st.composite
+def tail_prob_arguments(draw, law):
+    """x >= 0 around the clamp: at it, just below it, 0, tiny, huge and inf."""
+    clamp = law.clamp_point
+    special = st.sampled_from([0.0, clamp, float(np.nextafter(clamp, 0.0)), 5e-324, 1e-300,
+                               1e300, math.inf])
+    below = st.floats(0.0, clamp) if clamp > 0 else st.just(0.0)
+    value = st.one_of(special, below, st.floats(clamp, max(clamp, 1.0) * 1e6),
+                      st.floats(0.0, math.inf))
+    shape = draw(st.sampled_from(["scalar", "0-d", "1-d"]))
+    if shape == "scalar":
+        return draw(value)
+    if shape == "0-d":
+        return np.array(draw(value))
+    return np.array(draw(st.lists(value, min_size=0, max_size=300)), dtype=np.float64)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), law=TAIL_PROB_LAWS)
+def test_tail_prob_equals_the_compacting_form_bit_for_bit(data, law):
+    x = data.draw(tail_prob_arguments(law))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = tail_prob(law, x), compacted_tail_prob(law, x)
+    if isinstance(want, float):
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_tail_prob_sets_one_below_the_clamp_without_warnings():
+    # x**(-p) at 0 divides by zero and at 1e-300 overflows, below the clamp
+    law = power_log(2.0, 1)
+    with np.errstate(all="raise"):
+        assert tail_prob(law, np.array([0.0, 1e-300, 1.0])).tolist() == [1.0, 1.0, 1.0]
 
 
 # --- sampling --------------------------------------------------------------

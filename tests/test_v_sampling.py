@@ -55,6 +55,39 @@ def test_tail_functions_give_a_subset_the_full_arrays_floats(law, data):
         assert np.asarray(f_eval(law, x[keep])).tobytes() == f_eval(law, x)[keep].tobytes()
 
 
+MAX_KEY = 2 ** 64 - 1
+
+
+def philox_stream(master_seed, trial_index, stream_index):
+    """The seeding contract, built the long way: a Philox generator keyed by
+    (master_seed, trial_index), its counter advanced stream_index * 2**64
+    blocks."""
+    bitgen = np.random.Philox(key=np.array([master_seed, trial_index], dtype=np.uint64))
+    bitgen.advance(stream_index << 64)
+    return np.random.Generator(bitgen)
+
+
+@PROPERTY_SETTINGS
+@given(keys=st.lists(st.tuples(st.integers(0, MAX_KEY) | st.sampled_from([0, MAX_KEY]),
+                               st.integers(0, MAX_KEY) | st.sampled_from([0, MAX_KEY]),
+                               st.sampled_from([harness.STREAM_POTENTIAL,
+                                                harness.STREAM_SOLVER])),
+                     min_size=1, max_size=4),
+       n=st.integers(1, 9))
+def test_a_rekeyed_generator_draws_what_derive_stream_draws(keys, n):
+    # one generator, re-keyed from triple to triple, each time after draws
+    # that leave words buffered: a 32-bit integer and an odd count of
+    # normals. Its uniforms and normals are derive_stream's
+    rng = derive_stream(7, 7)
+    for key in keys:
+        for draw in (lambda g: g.random(n), lambda g: g.standard_normal(n)):
+            want = draw(philox_stream(*key)).tobytes()
+            assert draw(derive_stream(*key)).tobytes() == want
+            assert draw(harness.rekey(rng, *key)).tobytes() == want
+            rng.integers(0, 2 ** 31, dtype=np.uint32)
+            rng.standard_normal(3)
+
+
 # --- V rows against the full path -------------------------------------------------
 
 def full_v_row(cfg, L, gamma, trial):
@@ -77,14 +110,24 @@ def full_v_row(cfg, L, gamma, trial):
     }
 
 
-def assert_v_rows_equal_the_full_path(cfg, trials):
-    """Every V row of these trials equals the full path's; returns whether the
-    radius had a plan."""
+def blocks_of(trials, cuts=()):
+    """`trials` (a range) split into consecutive blocks before each cut."""
+    edges = [trials.start, *sorted(c for c in cuts if trials.start < c < trials.stop),
+             trials.stop]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def assert_v_rows_equal_the_full_path(cfg, blocks):
+    """Every V row of these blocks of trials equals the full path's, and each
+    block's rows come back in trial order; returns whether the radius had a
+    plan."""
     (L,) = cfg.radii
     gamma = resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha)
-    for trial in trials:
-        got = harness._extremal_trial((cfg, L, gamma, trial))["V"]
-        assert got == full_v_row(cfg, L, gamma, trial), trial
+    for trials in blocks:
+        rows = harness._extremal_trial((cfg, L, gamma, trials))["rows"]
+        assert [row["trial"] for row in rows] == list(trials)
+        for row in rows:
+            assert row["V"] == full_v_row(cfg, L, gamma, row["trial"]), row["trial"]
     return harness._top_plan(cfg, L, gamma) is not None
 
 
@@ -117,15 +160,24 @@ def v_configs(draw):
 
 
 @PROPERTY_SETTINGS
-@given(cfg=v_configs(), first=st.integers(0, 10 ** 6), wide=st.booleans())
-def test_v_rows_equal_the_full_path(cfg, first, wide):
-    # a wide keep margin evaluates many sites whose V lies below the level
+@given(cfg=v_configs(), first=st.integers(0, 10 ** 6), wide=st.booleans(),
+       split=st.one_of(st.just("one block"), st.just("blocks of one"),
+                       st.sets(st.integers(1, 5))))
+def test_v_rows_equal_the_full_path(cfg, first, wide, split):
+    # a wide keep margin evaluates many sites whose V lies below the level.
+    # Any split of the trials into blocks gives the same rows; trials that
+    # solve H come in blocks of one
+    trials = range(first, first + 6)
+    if cfg.source != "V" or split == "blocks of one":
+        blocks = blocks_of(trials, trials)
+    else:
+        blocks = blocks_of(trials, () if split == "one block" else {first + c for c in split})
     with pytest.MonkeyPatch.context() as mp:
         if wide:
             top_plan.cache_clear()
             mp.setattr(operators, "KEEP_MARGIN", 0.05)
         try:
-            planned = assert_v_rows_equal_the_full_path(cfg, range(first, first + 4))
+            planned = assert_v_rows_equal_the_full_path(cfg, blocks)
             event("the radius has a plan" if planned else "no plan: every site evaluated")
         finally:
             top_plan.cache_clear()
@@ -154,24 +206,47 @@ CANONICAL_V = [
 @pytest.mark.parametrize("name, overrides", CANONICAL_V,
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(CANONICAL_V)])
 def test_v_rows_take_the_selection_and_equal_the_full_path(name, overrides):
-    # a trial of both sources samples all of V for H and reads no plan
+    # a trial of both sources samples all of V for H and reads no plan, and
+    # comes in a block of one; a V-only radius's trials give the same rows
+    # in blocks of one, in one block, and in blocks of 1, 3, 5 and 3 trials
     cfg = parse_config_text((CONFIGS_DIR / name).read_text(), {**overrides, "out": "unused"})
-    assert assert_v_rows_equal_the_full_path(cfg, range(12)) == (cfg.source == "V")
+    trials = range(12)
+    splits = [trials, (), (1, 4, 9)] if cfg.source == "V" else [trials]
+    for cuts in splits:
+        assert assert_v_rows_equal_the_full_path(cfg, blocks_of(trials, cuts)) == (
+            cfg.source == "V")
 
 
 def test_too_few_points_at_the_level_fall_back_to_every_site(monkeypatch):
-    # a count target of 1 puts the level where about one point lies: most
-    # trials find fewer than top_m there and evaluate every site
-    cfg = parse_config_text((CONFIGS_DIR / "maxlaw.cfg").read_text(),
-                            {"radii": "200", "alpha": "0.5", "scaling_mode": "calibrated",
-                             "family": "power_log", "p": "2", "k": "1", "out": "unused"})
-    monkeypatch.setattr(harness, "TOP_COUNT_FACTOR", 1 / cfg.resolved_top_m())
+    # on the decaying, calibrated box a count target of 1 puts the level
+    # where about one point lies: most trials find fewer than top_m there
+    # and evaluate every site. On the flat box a count target of top_m puts
+    # it where about top_m points lie: about half the trials fall back, and
+    # one block holds trials that do and trials that do not
     sizes = []
     monkeypatch.setattr(operators, "sample_omega_array",
                         lambda law, u: sizes.append(u.size) or sample_omega_array(law, u))
-    assert assert_v_rows_equal_the_full_path(cfg, range(20))
-    fell_back = sum(s == cfg.box(200).site_count for s in sizes)
-    assert 0 < fell_back < len(sizes)
+    for overrides, count_factor, mixed in (
+            ({"alpha": "0.5", "scaling_mode": "calibrated"}, lambda m: 1 / m, False),
+            ({}, lambda m: 1, True)):
+        cfg = parse_config_text((CONFIGS_DIR / "maxlaw.cfg").read_text(),
+                                {"radii": "200", "family": "power_log", "p": "2", "k": "1",
+                                 "out": "unused", **overrides})
+        monkeypatch.setattr(harness, "TOP_COUNT_FACTOR", count_factor(cfg.resolved_top_m()))
+        (L,), n = cfg.radii, cfg.box(200).site_count
+        gamma = resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law, cfg.alpha)
+        assert harness._top_plan(cfg, L, gamma) is not None
+        for blocks in (blocks_of(range(20)), blocks_of(range(20), range(20))):
+            sizes.clear()
+            rows = [row for trials in blocks
+                    for row in harness._extremal_trial((cfg, L, gamma, trials))["rows"]]
+            # per block, one call on the kept sites of all its trials, then
+            # one on every site for each trial that falls back
+            fell_back = sum(s == n for s in sizes)
+            assert len(sizes) == len(blocks) + fell_back
+            assert 0 < fell_back and (fell_back < 20 or not mixed)
+            assert [row["V"] for row in rows] == [full_v_row(cfg, L, gamma, t)
+                                                  for t in range(20)]
 
 
 # --- what the benchmark reads -----------------------------------------------------
@@ -183,9 +258,10 @@ def logtail_config(**overrides):
         **overrides})
 
 
-def sites_per_trial(monkeypatch, cfg):
-    """Sites each trial passes to operators.sample_omega_array, per call."""
-    calls, per_trial = [], []
+def sites_per_block(monkeypatch, cfg):
+    """(trials, sites of each operators.sample_omega_array call) for each
+    block a run maps."""
+    calls, blocks = [], []
     monkeypatch.setattr(operators, "sample_omega_array",
                         lambda law, u: calls.append(len(u)) or sample_omega_array(law, u))
     trial = harness._extremal_trial
@@ -193,25 +269,37 @@ def sites_per_trial(monkeypatch, cfg):
     def spy(args):
         start = len(calls)
         out = trial(args)
-        per_trial.append(calls[start:])
+        blocks.append((args[-1], calls[start:]))
         return out
     monkeypatch.setattr(harness, "_extremal_trial", spy)
     harness.run_experiment(cfg)
-    return per_trial
+    return blocks
 
 
 def test_v_only_trials_call_the_traced_sampler(monkeypatch, tmp_path):
     # the traced run's ns_per_site divides by the sites this name sees
-    per_trial = sites_per_trial(monkeypatch, logtail_config(
-        radii="200", trials="6", out=str(tmp_path / "o")))
-    assert len(per_trial) == 6
-    assert all(calls and min(calls) >= 1 for calls in per_trial)
+    blocks = sites_per_block(monkeypatch, logtail_config(
+        radii="200", trials="24", out=str(tmp_path / "o")))
+    assert sorted(t for trials, _ in blocks for t in trials) == list(range(24))
+    assert max(len(trials) for trials, _ in blocks) > 1
+    assert all(calls and min(calls) >= 1 for _, calls in blocks)
 
 
 def test_v_only_logtail_trials_invert_at_most_64_sites(monkeypatch, tmp_path):
-    per_trial = sites_per_trial(monkeypatch, logtail_config(out=str(tmp_path / "o")))
-    assert len(per_trial) == 100
-    assert np.median([sum(calls) for calls in per_trial]) <= 64
+    cfg = logtail_config(out=str(tmp_path / "o"))
+    blocks = sites_per_block(monkeypatch, cfg)
+    assert sorted(t for trials, _ in blocks for t in trials) == list(range(100))
+    # each trial's kept sites, from the plan's thresholds on its uniforms: a
+    # block inverts the tail law once, at its trials' kept sites, and none
+    # of them falls back to every site
+    (L,) = cfg.radii
+    plan = harness._top_plan(cfg, L, resolve_gamma(cfg.scaling_mode, cfg.box(L), cfg.law,
+                                                   cfg.alpha))
+    kept = [np.count_nonzero(1.0 - derive_stream(cfg.master_seed, t, 0).random(plan.keep.size)
+                             <= plan.keep) for t in range(100)]
+    assert [calls for _, calls in blocks] == [[sum(kept[t] for t in trials)]
+                                              for trials, _ in blocks]
+    assert np.median(kept) <= 64
 
 
 def test_a_plan_is_made_before_the_pool_forks(monkeypatch, tmp_path):
