@@ -30,9 +30,15 @@ of x, in O(n) per point and without solving, so `ids` takes no spectrum at
 d=1. One twisted Sturm sweep from both ends of the chain counts every point;
 IEEE infinities pair each zero or tiny pivot with one of the opposite sign
 (Demmel, Dhillon & Ren, ETNA 3, 1995), so only the last step is clamped.
+`count_above(op, t)` counts a d=1 operator's eigenvalues above one point by
+dstebz by value: LAPACK's own Sturm counts, in one call on (t, VU] whose
+tolerance leaves it nothing to bisect, bundled or through scipy's wrapper
+as the top-m bisection is. `harness` certifies an unmoved E1 along a
+nested ladder with it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -200,6 +206,39 @@ def count_le(op: LatticeOperator, x) -> np.ndarray:
         twist = (diag[k] - x) - recip[:p] - recip[p:]
     np.copyto(twist, -PIVMIN, where=np.abs(twist) < PIVMIN)
     return negative[:p] + negative[p:] + (twist < 0.0)
+
+
+def count_above(op: LatticeOperator, t: float) -> int:
+    """#{eigenvalues > t} of a d=1 operator, by one dstebz call by value.
+
+    RANGE "V" on (t, VU], VU = 2 * norm_bound() above every eigenvalue, with
+    ABSTOL = VU - t: dstebz counts the Sturm sequences at both ends of
+    (t, VU] clipped to the Gershgorin interval, which gives M, the count,
+    then takes one midpoint step, after which every interval is narrower
+    than ABSTOL and nothing is bisected: O(n) in all. Its counts follow
+    LAPACK's pivmin rule, so an eigenvalue at t is not counted. 0 for t at
+    or above norm_bound(); a NaN t or an operator of d >= 2 raises
+    ValueError, and a LAPACK failure LinAlgError.
+    """
+    if op.spec.dimension != 1:
+        raise ValueError("count_above counts a d = 1 operator")
+    t = float(t)
+    if math.isnan(t):
+        raise ValueError("count_above got a NaN point")
+    bound = op.norm_bound()
+    if t >= bound:
+        return 0
+    vu = 2.0 * bound
+    dstebz = _bundled_dstebz()
+    if dstebz is not None:
+        found, info = openblas.dstebz_count(dstebz, op.diagonal, t, vu, vu - t)
+    else:
+        # range 1 selects by value; order "B" leaves split-off blocks unsorted
+        found, _, _, _, info = scipy.linalg.lapack.dstebz(
+            op.diagonal, np.ones(op.n - 1), 1, t, vu, 0, 0, vu - t, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stebz failed to count above {t} (info {info})")
+    return found
 
 
 def extremal_topk(

@@ -41,6 +41,7 @@ from .eigen import (
     LANCZOS_MAX_ITER_DEFAULT,
     LANCZOS_TOL_DEFAULT,
     Spectrum,
+    count_above,
     count_le,
     extremal_topk,
     full_spectrum,
@@ -103,6 +104,10 @@ POOL_START_S = 0.025
 # sandwich-ladder's first of 1000 (0.5-0.8 ms) already predicts over 0.5 s
 # and pools the other 999 at once
 HEAD_MARGIN = 4
+# a larger sandwich radius keeps the E1 of the radius below when none of its
+# eigenvalues lies this many times norm_bound() above it: more than the
+# 3 eps of dstebz's own tolerance (`_sandwich_trial`)
+LADDER_SLACK = 4.0 * np.finfo(np.float64).eps
 
 
 class ConfigError(ValueError):
@@ -510,7 +515,22 @@ def _ids_trial(args):
 
 
 def _sandwich_trial(args):
-    """Largest eigenvalue at every ladder radius from one shared sample."""
+    """Largest eigenvalue at every ladder radius from one shared sample.
+
+    Each box is a principal submatrix of the next, so by Cauchy interlacing
+    E1 never falls along the ladder (Horn & Johnson, Matrix Analysis,
+    section 4.3). A radius whose E1 bisects (d = 1), above one whose E1 did,
+    first counts its eigenvalues above s = e + delta (`count_above`), e the
+    unclipped E1 below and delta = LADDER_SLACK * norm_bound(). If none is
+    above s, E1 lies in [E1 below, s] and e is kept: within delta of E1, as
+    a bisection is. dstebz at ABSTOL = 0 stops once an interval is narrower
+    than ulp * TNORM + 2 ulp |lambda| (at most: ATOLI = ulp * TNORM and
+    RTOLI = RELFAC * ulp, RELFAC = 2, with ulp = eps and TNORM the
+    Gershgorin bound), and TNORM and |E1| are at most norm_bound(): it
+    places E1 within 3 eps * norm_bound() < delta. Otherwise, as at the
+    first radius and at d >= 2, E1 is solved, to the float it had without
+    the count; that tolerance puts it above e.
+    """
     cfg, trial = args
     t0 = time.perf_counter()
     big_spec = cfg.box(max(cfg.radii))
@@ -518,10 +538,17 @@ def _sandwich_trial(args):
     big = sample_potential(big_spec, cfg.law, cfg.alpha, rng)
     e1 = {}
     e1v = {}
+    below = None  # the unclipped E1 of the radius below, when it bisected
     for L in cfg.radii:
         pot = restrict_potential(big, L)
         op = build_hamiltonian(pot.spec, pot)
-        top = float(_solve_h(cfg, op, trial, 1).values[-1])
+        bisects = solver_path(cfg.dimension, op.n, 1, cfg.solver, cfg.dense_cap) == "bisection"
+        if (bisects and below is not None
+                and count_above(op, below + LADDER_SLACK * op.norm_bound()) == 0):
+            top = below
+        else:
+            top = float(_solve_h(cfg, op, trial, 1).values[-1])
+        below = top if bisects else None
         e1[L] = top if top > 0.0 else 0.0
         e1v[L] = float(np.max(pot.values))
     return {"trial": trial, "e1_h": e1, "e1_v": e1v,

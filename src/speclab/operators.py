@@ -44,8 +44,9 @@ class PotentialSample:
     omegas: np.ndarray
     values: np.ndarray
 
-    @property
+    @functools.cached_property
     def max_abs(self) -> float:
+        """max |V|, formed once: a sandwich ladder reads it twice a radius."""
         return float(np.max(np.abs(self.values)))
 
 
@@ -112,9 +113,9 @@ def top_plan(spec: BoxSpec, law: TailLaw, alpha: float, gamma: float, count: flo
              else law.delta * level ** law.delta)
     if slope < MIN_LOG_SLOPE:
         return None
-    # where w overflows, keep is 0 or nan and the site is not evaluated: its
-    # V is 0, which no point or count reads
-    with np.errstate(over="ignore", invalid="ignore"):
+    # where w overflows, keep is 0 and the site is not evaluated: its V is 0,
+    # which no point or count reads
+    with np.errstate(over="ignore"):
         keep = tail_prob(law, level * weights_array(spec, alpha)) * (1.0 + U_MARGIN)
     keep.flags.writeable = False  # one plan serves every trial of the radius
     return TopPlan(level=level, check=check, keep=keep)

@@ -176,21 +176,23 @@ def tail_prob(law: TailLaw, x):
 
     1/f is formed directly (exp(-x**delta), or x**(-p) * log(x)**k) so huge
     arguments underflow to 0 instead of overflowing f. It is formed at every
-    x, in place in the result (k >= 1 adds one array, the log factor), and
-    the x below the clamp are then set to 1: no compacted copies of x. There
-    x**(-p) and log(x)**k can divide by zero or overflow, so those warnings
-    are off.
+    x, in place in the result (k >= 1 adds one array, the log factor, and a
+    mask of the infinities), and the x below the clamp are then set to 1: no
+    compacted copies of x. There x**(-p) and log(x)**k can divide by zero or
+    overflow, so those warnings are off. At x = inf, k >= 1 forms 0 * inf,
+    and the result is set to its limit 0.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(arr < 0):
         raise DomainError("tail_prob requires x >= 0")
     if law.family == "power_log":
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             out = arr ** (-law.p)
             if law.k:
                 logs = np.log(arr)
                 logs **= law.k
                 out *= logs
+                np.copyto(out, 0.0, where=arr == np.inf)
     else:
         out = arr ** law.delta
         np.negative(out, out=out)

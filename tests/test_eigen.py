@@ -1,4 +1,5 @@
 import ctypes
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from speclab.eigen import (
     STURM_BLOCK_SITES,
     STURM_BLOCK_VALUES,
     _bundled_dstebz,
+    count_above,
     count_le,
     extremal_topk,
     full_spectrum,
@@ -374,6 +376,61 @@ def test_count_le_counts_d1_alone():
         count_le(build_hamiltonian(spec, pot), np.array([0.0]))
 
 
+@PROPERTY_SETTINGS
+@given(
+    L=st.integers(1, 150),
+    kind=st.sampled_from(["constant", "integer", "decaying"]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_count_above_matches_the_dense_spectrum(L, kind, seed):
+    rng = np.random.default_rng(seed)
+    spec = BoxSpec(1, L)
+    n = spec.site_count
+    v = {"constant": lambda: np.full(n, float(rng.integers(-3, 4))),
+         "integer": lambda: rng.integers(-3, 4, n).astype(np.float64),
+         "decaying": lambda: rng.pareto(1.0, n) / (1.0 + np.abs(np.arange(n) - L)) ** 0.5,
+         }[kind]()
+    op = build_hamiltonian(spec, PotentialSample(spec=spec, omegas=v, values=v))
+    vals = dense_eigs(op)
+    bound = op.norm_bound()
+    # points clear of every eigenvalue, where any two exact counts agree:
+    # midpoints of gaps and random points, and points at and beyond the
+    # norm bound on both sides
+    gaps = np.diff(vals) > 1e-6 * bound
+    mid = 0.5 * (vals[1:] + vals[:-1])[gaps]
+    anywhere = rng.uniform(-bound - 1.0, bound + 1.0, 50)
+    anywhere = anywhere[np.min(np.abs(anywhere[:, None] - vals), axis=1) > 1e-6 * bound]
+    beyond = [-np.inf, -2.0 * bound, -bound - 1.0, -bound, bound, bound + 1.0, 1e300, np.inf]
+    t = np.concatenate([mid, anywhere, beyond])
+    want = [int(np.sum(vals > x)) for x in t]
+    assert [count_above(op, x) for x in t] == want
+    # and through scipy's wrapper when no bundled dstebz is found
+    with mock.patch.object(openblas, "bundled", lambda: ()):
+        assert [count_above(op, x) for x in t] == want
+
+
+def test_count_above_rejects_nan_and_counts_d1_alone():
+    op = build_hamiltonian(*make_instance(1, 20))
+    with pytest.raises(ValueError, match="NaN"):
+        count_above(op, np.nan)
+    op2 = build_hamiltonian(*make_instance(2, 3))
+    with pytest.raises(ValueError, match="d = 1"):
+        count_above(op2, 0.0)
+
+
+def test_count_above_raises_when_stebz_fails(monkeypatch):
+    # the bundled symbol reports through its INFO argument
+    op = build_hamiltonian(*make_instance(1, 10))
+
+    def failing_symbol(*args):
+        ctypes.c_int.from_address(args[17].value).value = 1
+
+    fake = openblas.Library("fake", None, None, failing_symbol)
+    monkeypatch.setattr(openblas, "bundled", lambda: (fake,))
+    with pytest.raises(np.linalg.LinAlgError, match="info 1"):
+        count_above(op, 0.0)
+
+
 def test_top_eigenvalues_paths():
     # Spectrum.method names the path taken
     spec, pot = make_instance(1, 30)
@@ -470,6 +527,48 @@ def test_bundled_dstebz_equals_scipys_float_for_float(d, data):
     assert (found, info) == (want_found, want_info)
     np.testing.assert_array_equal(vals, want[max(found - m, 0):found])
     assert vals.dtype == np.float64 and vals.flags.owndata
+
+
+@pytest.mark.skipif(_bundled_dstebz() is None,
+                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=tridiagonal_diagonals(), data=st.data())
+def test_bundled_dstebz_counts_as_scipys(d, data):
+    # by value on (t, vu] at any t: between the eigenvalues, on them, on
+    # the diagonal entries (ties, zeros and splits of huge values), and
+    # below every eigenvalue
+    n = d.size
+    vu = 2.0 * (2.0 + np.max(np.abs(d)))
+    t = data.draw(st.one_of(st.sampled_from(d.tolist()), st.floats(-vu, vu, exclude_max=True),
+                            st.just(-np.inf), st.just(-vu)), label="t")
+    got = openblas.dstebz_count(_bundled_dstebz(), d, t, vu, vu - t)
+    want_found, _, _, _, want_info = scipy.linalg.lapack.dstebz(
+        d, np.ones(n - 1), 1, t, vu, 0, 0, vu - t, "B")
+    assert got == (want_found, want_info)
+
+
+@pytest.mark.skipif(_bundled_dstebz() is None,
+                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
+def test_counts_and_top_calls_share_the_buffers_of_more_sizes_than_are_cached():
+    # count and top calls interleaved over twice as many sizes as the
+    # buffer cache holds, so each size's buffers are dropped and rebuilt
+    # between its calls; every result is scipy's
+    sizes = [3, 51, 7, 201, 101, 2, 400, 33]
+    assert len(sizes) >= 2 * openblas._stebz_args.cache_info().maxsize
+    rng = np.random.default_rng(7)
+    dstebz = _bundled_dstebz()
+    for _ in range(3):
+        for n in sizes:
+            d = rng.pareto(1.0, n)
+            e = np.ones(n - 1)
+            vu = 2.0 * (2.0 + np.max(d))
+            want = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, n, n, 0.0, "E")
+            found, vals, info = openblas.dstebz_top(dstebz, d, 1)
+            assert (found, info) == (want[0], want[4])
+            np.testing.assert_array_equal(vals, want[1][:1])
+            t = vals[0] - 1.0
+            want = scipy.linalg.lapack.dstebz(d, e, 1, t, vu, 0, 0, vu - t, "B")
+            assert openblas.dstebz_count(dstebz, d, t, vu, vu - t) == (want[0], want[4])
 
 
 def test_every_path_returns_its_values_ascending():

@@ -20,6 +20,7 @@ import scipy.linalg
 from speclab.cli import build_parser, overrides_from
 from speclab import harness, lattice, openblas
 from speclab.cli import main as cli_main
+from speclab.eigen import _bundled_dstebz
 from speclab.harness import (
     EXIT_ASSERT,
     EXIT_SOLVER,
@@ -36,6 +37,7 @@ from speclab.lattice import BoxSpec
 from speclab.operators import (
     DENSE_CAP_DEFAULT,
     LatticeOperator,
+    PotentialSample,
     build_hamiltonian,
     free_laplacian_eigs,
     sample_potential,
@@ -644,6 +646,95 @@ def test_sandwich_rows_obey_the_exact_eigenvalue_bounds(tmp_path, monkeypatch, d
     for trial, e1 in ladder.items():
         slack = 1e-12 * (2 * d + max(e1))
         assert all(b >= a - slack for a, b in zip(e1, e1[1:])), trial
+        if d == 1:
+            # a larger radius keeps the E1 below, or bisects one above it
+            assert all(b >= a for a, b in zip(e1, e1[1:])), trial
+
+
+# the canonical sandwich run's law and ladder (configs/sandwich.cfg)
+CANONICAL_LADDER = dict(experiment="sandwich", dimension=1, radii=(25, 50, 100),
+                        law=stretched_exp(1.0), alpha=1.0, master_seed=20260809,
+                        x_grid=(6.0, 8.0, 10.0), workers=1)
+
+
+def test_a_certified_radius_bisects_nothing_and_a_larger_v_outside_bisects(monkeypatch):
+    # every radius after the first counts above s = E1 below + delta; a
+    # count of 0 keeps that E1 with no bisection, and a V above s outside
+    # the smaller box (its V are at most its E1) makes the count nonzero.
+    # Decay keeps the far sites' V small, so every other trial gets a V of
+    # max V + 3 > E1(25) planted at site 40, inside radius 50 alone
+    cfg = ExperimentConfig(**CANONICAL_LADDER, trials=200)
+    calls = []
+    solve, count, sample = harness.full_spectrum, harness.count_above, harness.sample_potential
+
+    def planted(spec, *args):
+        pot = sample(spec, *args)
+        if trial % 2:
+            v = pot.values.copy()
+            v[spec.radius + 40] = np.max(v) + 3.0
+            pot = PotentialSample(spec=spec, omegas=pot.omegas, values=v)
+        return pot
+
+    def spy_solve(op, **kw):
+        calls.append(("bisect", op.n))
+        return solve(op, **kw)
+
+    def spy_count(op, t):
+        calls.append(("count", op.n, count(op, t)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(harness, "full_spectrum", spy_solve)
+    monkeypatch.setattr(harness, "count_above", spy_count)
+    monkeypatch.setattr(harness, "sample_potential", planted)
+    certified = larger_v = 0
+    for trial in range(cfg.trials):
+        calls.clear()
+        row = harness._sandwich_trial((cfg, trial))
+        counts = {call[1]: call[2] for call in calls if call[0] == "count"}
+        bisected = [call[1] for call in calls if call[0] == "bisect"]
+        assert sorted(counts) == [101, 201] and bisected[0] == 51
+        assert len(bisected) == len(set(bisected))
+        for below, L in zip(cfg.radii, cfg.radii[1:]):
+            n, e = 2 * L + 1, row["e1_h"][below]
+            assert (n in bisected) == (counts[n] > 0)
+            if n not in bisected:
+                certified += 1
+                assert row["e1_h"][L] == e
+            if row["e1_v"][L] > e + harness.LADDER_SLACK * (2.0 + row["e1_v"][L]):
+                larger_v += 1
+                assert n in bisected
+        if trial % 2:
+            assert 101 in bisected
+    assert certified > 0 and larger_v >= cfg.trials // 2
+
+
+@pytest.mark.skipif(_bundled_dstebz() is None,
+                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
+def test_a_certifying_ladder_writes_the_same_csvs_without_the_bundled_library(
+        tmp_path, monkeypatch):
+    # the counts and the bisections both fall back on scipy.linalg.lapack
+    zeros = []
+    count = harness.count_above
+
+    def spy_count(op, t):
+        found = count(op, t)
+        zeros.append(found == 0)
+        return found
+
+    monkeypatch.setattr(harness, "count_above", spy_count)
+
+    def run(tag: str) -> dict:
+        cfg = ExperimentConfig(**CANONICAL_LADDER, trials=60, out_dir=str(tmp_path / tag))
+        assert run_experiment(cfg)["exit_code"] == 0
+        return {L: (tmp_path / tag / f"sandwich_L{L}.csv").read_bytes() for L in cfg.radii}
+
+    bundled = run("bundled")
+    assert any(zeros)
+    zeros.clear()
+    monkeypatch.setattr(openblas, "bundled", lambda: ())
+    assert _bundled_dstebz() is None
+    assert run("fallback") == bundled
+    assert any(zeros)
 
 
 # --- one BLAS thread per process -------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,15 +366,30 @@ def tail_prob_arguments(draw, law):
 @PROPERTY_SETTINGS
 @given(data=st.data(), law=TAIL_PROB_LAWS)
 def test_tail_prob_equals_the_compacting_form_bit_for_bit(data, law):
+    # at x = inf the compacting form makes nan of 0 * inf for k >= 1, where
+    # tail_prob gives the limit, 0: it is compared with 0 there
     x = data.draw(tail_prob_arguments(law))
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = tail_prob(law, x), compacted_tail_prob(law, x)
     if isinstance(want, float):
+        want = 0.0 if x == math.inf else want
         assert isinstance(got, float)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
     else:
+        want = np.where(x == math.inf, 0.0, want)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law", [power_log(2.0, 1), power_log(0.5, 2), power_log(2.0, 0),
+                                 stretched_exp(0.5)], ids=law_id)
+def test_tail_prob_is_zero_at_infinity_without_warnings(law):
+    x = [math.inf, np.float64(math.inf), np.array(math.inf), np.array([math.inf, 3.0])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [tail_prob(law, v) for v in x]
+    assert got[:3] == [0.0, 0.0, 0.0] and all(isinstance(g, float) for g in got[:3])
+    assert got[3].tolist() == [0.0, tail_prob(law, 3.0)]
 
 
 def test_tail_prob_sets_one_below_the_clamp_without_warnings():
