@@ -16,11 +16,9 @@ driver in O(n) memory, so at any n (no experiment takes one), and its m
 largest eigenvalues, as every extremal experiment asks, from Sturm-sequence
 bisection (LAPACK stebz; Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
 for those m indices alone, in O(n m log(1/eps)), at any n. The bisection
-is one dstebz call in the OpenBLAS scipy bundles, through ctypes
-(`openblas`): the routine `scipy.linalg.lapack` calls, in the same library,
-so the values are the same floats, and a trial that bisects loads no
-`scipy.linalg`. Without that library or symbol it calls
-`scipy.linalg.lapack.dstebz`, and `path_module` has a pool preload it.
+is one call of scipy's own dstebz wrapper (`_dstebz`), which lives in the
+extension `scipy.linalg._flapack` and is loaded without `scipy.linalg`, so
+a trial that bisects loads neither that package nor its 18 MiB.
 The extremal solver `extremal_topk` is ARPACK's implicitly restarted Lanczos
 (scipy's `eigsh`) for the m largest eigenvalues, with every residual
 re-verified against the operator.
@@ -32,20 +30,24 @@ IEEE infinities pair each zero or tiny pivot with one of the opposite sign
 (Demmel, Dhillon & Ren, ETNA 3, 1995), so only the last step is clamped.
 `count_above(op, t)` counts a d=1 operator's eigenvalues above one point by
 dstebz by value: LAPACK's own Sturm counts, in one call on (t, VU] whose
-tolerance leaves it nothing to bisect, bundled or through scipy's wrapper
-as the top-m bisection is. `harness` certifies an unmoved E1 along a
-nested ladder with it.
+tolerance leaves it nothing to bisect, through the same wrapper as the
+top-m bisection. `harness` certifies an unmoved E1 along a nested ladder
+with it.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import scipy  # scipy.linalg and scipy.sparse.linalg load on first use
 
-from . import openblas
 from .operators import DENSE_CAP_DEFAULT, LatticeOperator
 
 # LAPACK's pivmin for unit off-diagonals (dstebz: safe minimum * max(1, e^2))
@@ -84,24 +86,41 @@ def solver_path(dimension: int, n: int, m: int, solver: str, dense_cap: int) -> 
     return "bisection" if dimension == 1 else "dense"
 
 
-def path_module(path: str) -> str | None:
-    """The SciPy module a `solver_path` path calls, which a pool loads before
-    it forks. Bisection calls scipy's bundled dstebz (`openblas`) and needs
-    none, unless that library or symbol is missing and it falls back on
-    `scipy.linalg.lapack`. scipy.sparse.linalg imports scipy.linalg itself,
+def load_solver(path: str) -> None:
+    """Load what a `solver_path` path calls, as a pool does before it forks
+    so that its workers inherit it: scipy's dstebz wrapper for bisection
+    (`_dstebz`, without scipy.linalg), scipy.sparse.linalg for Lanczos and
+    scipy.linalg for dense. scipy.sparse.linalg imports scipy.linalg itself,
     so a Lanczos trial whose m grows into the exact path finds that loaded
     too."""
     if path == "bisection":
-        return None if _bundled_dstebz() is not None else "scipy.linalg"
-    return {"lanczos": "scipy.sparse.linalg", "dense": "scipy.linalg"}[path]
+        _dstebz()
+    else:
+        importlib.import_module({"lanczos": "scipy.sparse.linalg", "dense": "scipy.linalg"}[path])
 
 
-def _bundled_dstebz() -> Callable | None:
-    """scipy's bundled `scipy_dstebz_`, or None."""
-    for lib in openblas.bundled():
-        if lib.dstebz is not None:
-            return lib.dstebz
-    return None
+@functools.cache
+def _dstebz() -> Callable:
+    """scipy's f2py wrapper of LAPACK's dstebz, `scipy.linalg._flapack.dstebz`.
+
+    The extension is found in scipy's linalg/ directory and registered in
+    sys.modules under its own name, without running scipy/linalg/__init__.py
+    (about 18 MiB and 0.3 s in a fresh interpreter); a later import of
+    scipy.linalg takes it from there, so `scipy.linalg.lapack.dstebz` is
+    this same function. Without the extension file, that function.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        finder = FileFinder(str(Path(scipy.__file__).parent / "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            return scipy.linalg.lapack.dstebz
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dstebz
 
 
 def full_spectrum(
@@ -113,10 +132,10 @@ def full_spectrum(
     are a slice of that spectrum. Only a d >= 2 full spectrum is capped, by
     `to_dense(dense_cap)`, which raises CapacityError over it. A d=1
     operator is tridiagonal: its full spectrum comes from the QL driver, and
-    its top m from Sturm-sequence bisection (LAPACK stebz, bundled or
-    scipy's wrapper) for the indices n-m+1..n alone, to LAPACK's default
-    absolute tolerance eps*|T|; a LinAlgError is raised when stebz reports
-    failure or finds fewer than m.
+    its top m from Sturm-sequence bisection (scipy's dstebz wrapper) for
+    the indices n-m+1..n alone, to LAPACK's default absolute tolerance
+    eps*|T|; a LinAlgError is raised when stebz reports failure or finds
+    fewer than m.
     """
     n = op.n
     if m is not None and not 1 <= m <= n:
@@ -125,24 +144,18 @@ def full_spectrum(
         H = op.to_dense(dense_cap if m is None else n)
         vals = scipy.linalg.eigh(H, eigvals_only=True, driver="ev")
         return Spectrum(values=vals if m is None else vals[-m:], method="dense")
+    ones = np.ones(n - 1)  # the off-diagonal
     if m is None:
-        return Spectrum(values=scipy.linalg.eigvalsh_tridiagonal(op.diagonal, np.ones(n - 1)),
+        return Spectrum(values=scipy.linalg.eigvalsh_tridiagonal(op.diagonal, ones),
                         method="tridiagonal")
     # dstebz called directly: eigvalsh_tridiagonal's input checks cost as much
-    # as the bisection itself on boxes of ~50 sites
-    dstebz = _bundled_dstebz()
-    if dstebz is not None:
-        found, vals, info = openblas.dstebz_top(dstebz, op.diagonal, m)
-    else:
-        # range 2 selects by 1-based index; order "E" sorts ascending over
-        # the whole matrix
-        found, vals, _, _, info = scipy.linalg.lapack.dstebz(
-            op.diagonal, np.ones(n - 1), 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
-        vals = vals[found - m:found]
+    # as the bisection itself on boxes of ~50 sites. Range 2 selects by
+    # 1-based index; order "E" sorts ascending over the whole matrix
+    found, vals, _, _, info = _dstebz()(op.diagonal, ones, 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
     if info != 0 or found < m:
         raise np.linalg.LinAlgError(
             f"stebz found {found} of the top {m} eigenvalues (info {info})")
-    return Spectrum(values=vals, method="bisection")
+    return Spectrum(values=vals[found - m:found], method="bisection")
 
 
 def count_le(op: LatticeOperator, x) -> np.ndarray:
@@ -229,13 +242,8 @@ def count_above(op: LatticeOperator, t: float) -> int:
     if t >= bound:
         return 0
     vu = 2.0 * bound
-    dstebz = _bundled_dstebz()
-    if dstebz is not None:
-        found, info = openblas.dstebz_count(dstebz, op.diagonal, t, vu, vu - t)
-    else:
-        # range 1 selects by value; order "B" leaves split-off blocks unsorted
-        found, _, _, _, info = scipy.linalg.lapack.dstebz(
-            op.diagonal, np.ones(op.n - 1), 1, t, vu, 0, 0, vu - t, "B")
+    # range 1 selects by value; order "B" leaves split-off blocks unsorted
+    found, _, _, _, info = _dstebz()(op.diagonal, np.ones(op.n - 1), 1, t, vu, 0, 0, vu - t, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"stebz failed to count above {t} (info {info})")
     return found

@@ -45,7 +45,7 @@ from .eigen import (
     count_le,
     extremal_topk,
     full_spectrum,
-    path_module,
+    load_solver,
     solver_path,
 )
 from .scaling import (
@@ -609,15 +609,13 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     if tail and rest < POOL_START_S:
         return [worker(p) for p in left] + tail[::-1]
     # load once, before the fork, what the trials import and no more, so the
-    # workers inherit it: the SciPy module of each path their solves take
-    # (none for bisection through the bundled dstebz, or when they solve
-    # nothing), numpy.random for every trial's derive_stream, and numpy.ma,
-    # which np.unique in SpectrumCounts.__call__ loads lazily. scipy.linalg brings both numpy modules, but a run
-    # without it must load them here, or every worker of every run imports
-    # them again
-    modules = {path_module(path) for path in _solve_paths(cfg)} - {None}
-    for name in sorted({"numpy.random", "numpy.ma", *modules}):
-        importlib.import_module(name)
+    # workers inherit it: what each path their solves take calls (none when
+    # they solve nothing), and numpy.random for every trial's derive_stream.
+    # scipy.linalg brings numpy.random, but a run without it must load it
+    # here, or every worker of every run imports it again
+    importlib.import_module("numpy.random")
+    for path in sorted(_solve_paths(cfg)):
+        load_solver(path)
     with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas) as pool:
         pooled = list(pool.map(worker, left, chunksize=max(1, len(left) // (4 * workers))))
     return pooled + tail[::-1]

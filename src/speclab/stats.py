@@ -119,9 +119,10 @@ class SpectrumCounts:
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         lo, hi = self.bracket(x)
-        new = np.unique(x[lo != hi])
+        new = np.sort(x[lo != hi])
         if new.size == 0:
             return lo
+        new = new[np.append(True, new[1:] != new[:-1])]
         xs = np.concatenate([self._x, new])
         order = np.argsort(xs, kind="stable")
         self._x = xs[order]
@@ -203,12 +204,15 @@ def _last_below(t: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _free_steps(free) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct free values u, and #{free <= u} and #{free < u} at each."""
-    u, mult = np.unique(np.asarray(free, dtype=np.float64), return_counts=True)
-    if u.size == 0:
+    """Distinct free values u, and #{free <= u} and #{free < u} at each.
+
+    In the sorted sample, #{free < u} is the first index of u, and
+    #{free <= u} the next distinct value's first index, or the size."""
+    s = np.sort(np.asarray(free, dtype=np.float64))
+    if s.size == 0:
         raise ValueError("samples must be nonempty")
-    upto = np.cumsum(mult)
-    return u, upto, upto - mult
+    first = np.flatnonzero(np.append(True, s[1:] != s[:-1]))
+    return s[first], np.append(first[1:], s.size), first
 
 
 def ks_distance(counts, free) -> float:

@@ -1,17 +1,13 @@
-import ctypes
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scipy.linalg
 
-from speclab import openblas
+from speclab import eigen
 from speclab.eigen import (
     STURM_BLOCK_SITES,
     STURM_BLOCK_VALUES,
-    _bundled_dstebz,
     count_above,
     count_le,
     extremal_topk,
@@ -404,9 +400,6 @@ def test_count_above_matches_the_dense_spectrum(L, kind, seed):
     t = np.concatenate([mid, anywhere, beyond])
     want = [int(np.sum(vals > x)) for x in t]
     assert [count_above(op, x) for x in t] == want
-    # and through scipy's wrapper when no bundled dstebz is found
-    with mock.patch.object(openblas, "bundled", lambda: ()):
-        assert [count_above(op, x) for x in t] == want
 
 
 def test_count_above_rejects_nan_and_counts_d1_alone():
@@ -419,14 +412,14 @@ def test_count_above_rejects_nan_and_counts_d1_alone():
 
 
 def test_count_above_raises_when_stebz_fails(monkeypatch):
-    # the bundled symbol reports through its INFO argument
+    # scipy's wrapper reports a failure in its INFO return value
     op = build_hamiltonian(*make_instance(1, 10))
 
-    def failing_symbol(*args):
-        ctypes.c_int.from_address(args[17].value).value = 1
+    def failing(d, e, *args):
+        n = d.size
+        return 0, np.zeros(n), np.ones(n, np.int32), np.zeros(n, np.int32), 1
 
-    fake = openblas.Library("fake", None, None, failing_symbol)
-    monkeypatch.setattr(openblas, "bundled", lambda: (fake,))
+    monkeypatch.setattr(eigen, "_dstebz", lambda: failing)
     with pytest.raises(np.linalg.LinAlgError, match="info 1"):
         count_above(op, 0.0)
 
@@ -470,105 +463,16 @@ def test_top_eigenvalues_validation_and_caps():
 
 @pytest.mark.parametrize("info, found", [(2, 1), (-3, 1), (0, 0)])
 def test_top_eigenvalues_raises_when_stebz_fails(monkeypatch, info, found):
-    # the bundled symbol reports through its M and INFO arguments, scipy's
-    # wrapper in its return value; either way a failure raises
+    # scipy's wrapper reports a failure in its M and INFO return values
     op = build_hamiltonian(*make_instance(1, 10))
 
-    def failing_symbol(*args):
-        ctypes.c_int.from_address(args[10].value).value = found
-        ctypes.c_int.from_address(args[17].value).value = info
-
-    def failing_wrapper(d, e, *args):
+    def failing(d, e, *args):
         n = d.size
         return found, np.full(n, 7.0), np.ones(n, np.int32), np.zeros(n, np.int32), info
 
-    fake = openblas.Library("fake", None, None, failing_symbol)
-    monkeypatch.setattr(openblas, "bundled", lambda: (fake,))
+    monkeypatch.setattr(eigen, "_dstebz", lambda: failing)
     with pytest.raises(np.linalg.LinAlgError, match=f"info {info}"):
         full_spectrum(op, m=1)
-    # with no bundled library the bisection falls back on scipy's wrapper
-    monkeypatch.setattr(openblas, "bundled", lambda: ())
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_wrapper)
-    with pytest.raises(np.linalg.LinAlgError, match=f"info {info}"):
-        full_spectrum(op, m=1)
-
-
-@st.composite
-def tridiagonal_diagonals(draw):
-    """A diagonal of 2 to 300 sites for the unit tridiagonal: free floats
-    up to 1e150 (zeros, subnormals and ties among them), small integers
-    (many ties), all zeros, huge values, or a decaying heavy-tailed
-    potential."""
-    kind = draw(st.sampled_from(["floats", "ties", "zeros", "huge", "decaying"]))
-    if kind == "floats":
-        return np.array(draw(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=60)))
-    n = draw(st.integers(2, 300))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "ties":
-        return rng.integers(-2, 3, n).astype(float)
-    if kind == "zeros":
-        return np.zeros(n)
-    if kind == "huge":
-        return rng.choice([-1e150, -1e100, 0.0, 1.0, 1e100, 1e150], n)
-    alpha = draw(st.floats(0.0, 2.0))
-    return rng.pareto(1.0, n) / (1.0 + np.abs(np.arange(n) - n // 2)) ** alpha
-
-
-@pytest.mark.skipif(_bundled_dstebz() is None,
-                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(d=tridiagonal_diagonals(), data=st.data())
-def test_bundled_dstebz_equals_scipys_float_for_float(d, data):
-    n = d.size
-    m = data.draw(st.integers(1, n), label="m")
-    found, vals, info = openblas.dstebz_top(_bundled_dstebz(), d, m)
-    want_found, want, _, _, want_info = scipy.linalg.lapack.dstebz(
-        d, np.ones(n - 1), 2, 0.0, 0.0, n - m + 1, n, 0.0, "E")
-    assert (found, info) == (want_found, want_info)
-    np.testing.assert_array_equal(vals, want[max(found - m, 0):found])
-    assert vals.dtype == np.float64 and vals.flags.owndata
-
-
-@pytest.mark.skipif(_bundled_dstebz() is None,
-                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(d=tridiagonal_diagonals(), data=st.data())
-def test_bundled_dstebz_counts_as_scipys(d, data):
-    # by value on (t, vu] at any t: between the eigenvalues, on them, on
-    # the diagonal entries (ties, zeros and splits of huge values), and
-    # below every eigenvalue
-    n = d.size
-    vu = 2.0 * (2.0 + np.max(np.abs(d)))
-    t = data.draw(st.one_of(st.sampled_from(d.tolist()), st.floats(-vu, vu, exclude_max=True),
-                            st.just(-np.inf), st.just(-vu)), label="t")
-    got = openblas.dstebz_count(_bundled_dstebz(), d, t, vu, vu - t)
-    want_found, _, _, _, want_info = scipy.linalg.lapack.dstebz(
-        d, np.ones(n - 1), 1, t, vu, 0, 0, vu - t, "B")
-    assert got == (want_found, want_info)
-
-
-@pytest.mark.skipif(_bundled_dstebz() is None,
-                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
-def test_counts_and_top_calls_share_the_buffers_of_more_sizes_than_are_cached():
-    # count and top calls interleaved over twice as many sizes as the
-    # buffer cache holds, so each size's buffers are dropped and rebuilt
-    # between its calls; every result is scipy's
-    sizes = [3, 51, 7, 201, 101, 2, 400, 33]
-    assert len(sizes) >= 2 * openblas._stebz_args.cache_info().maxsize
-    rng = np.random.default_rng(7)
-    dstebz = _bundled_dstebz()
-    for _ in range(3):
-        for n in sizes:
-            d = rng.pareto(1.0, n)
-            e = np.ones(n - 1)
-            vu = 2.0 * (2.0 + np.max(d))
-            want = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, n, n, 0.0, "E")
-            found, vals, info = openblas.dstebz_top(dstebz, d, 1)
-            assert (found, info) == (want[0], want[4])
-            np.testing.assert_array_equal(vals, want[1][:1])
-            t = vals[0] - 1.0
-            want = scipy.linalg.lapack.dstebz(d, e, 1, t, vu, 0, 0, vu - t, "B")
-            assert openblas.dstebz_count(dstebz, d, t, vu, vu - t) == (want[0], want[4])
 
 
 def test_every_path_returns_its_values_ascending():

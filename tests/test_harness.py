@@ -18,9 +18,8 @@ import pytest
 import scipy.linalg
 
 from speclab.cli import build_parser, overrides_from
-from speclab import harness, lattice, openblas
+from speclab import eigen, harness, lattice, openblas
 from speclab.cli import main as cli_main
-from speclab.eigen import _bundled_dstebz
 from speclab.harness import (
     EXIT_ASSERT,
     EXIT_SOLVER,
@@ -708,11 +707,10 @@ def test_a_certified_radius_bisects_nothing_and_a_larger_v_outside_bisects(monke
     assert certified > 0 and larger_v >= cfg.trials // 2
 
 
-@pytest.mark.skipif(_bundled_dstebz() is None,
-                    reason="scipy bundles no OpenBLAS exporting scipy_dstebz_")
 def test_a_certifying_ladder_writes_the_same_csvs_without_the_bundled_library(
         tmp_path, monkeypatch):
-    # the counts and the bisections both fall back on scipy.linalg.lapack
+    # with scipy's extension out of the finder, the counts and the
+    # bisections both take scipy.linalg.lapack's dstebz
     zeros = []
     count = harness.count_above
 
@@ -728,12 +726,16 @@ def test_a_certifying_ladder_writes_the_same_csvs_without_the_bundled_library(
         assert run_experiment(cfg)["exit_code"] == 0
         return {L: (tmp_path / tag / f"sandwich_L{L}.csv").read_bytes() for L in cfg.radii}
 
-    bundled = run("bundled")
+    extension = run("extension")
     assert any(zeros)
     zeros.clear()
-    monkeypatch.setattr(openblas, "bundled", lambda: ())
-    assert _bundled_dstebz() is None
-    assert run("fallback") == bundled
+    # a FileFinder given no loaders finds nothing
+    monkeypatch.setattr(eigen, "FileFinder",
+                        lambda path, *details: importlib.machinery.FileFinder(path))
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(eigen, "_dstebz", functools.cache(eigen._dstebz.__wrapped__))
+    assert eigen._dstebz() is scipy.linalg.lapack.dstebz
+    assert run("package") == extension
     assert any(zeros)
 
 

@@ -44,43 +44,51 @@ print(json.dumps({"configs": len(configs), "code": code,
     assert out == {"configs": 6, "code": 1, "loaded": []}
 
 
-# one small run per path rule, as (config, overrides, the SciPy solver
-# modules its trials call): sandwich and a d = 1 auto extremal run bisect
-# through the bundled dstebz and call none, extremal runs Lanczos, maxlaw
-# (source V) and a d = 1 ids solve nothing, and a d >= 2 ids takes the dense
-# spectrum
+# one small run per path rule, as (config, overrides, the WATCHED modules
+# its pool loads for the solves, scipy.linalg bringing numpy.ma): sandwich
+# and a d = 1 auto extremal run bisect through scipy's dstebz wrapper,
+# whose extension loads without scipy.linalg, extremal runs Lanczos, maxlaw
+# (source V) and a d = 1 ids solve nothing, and a d >= 2 ids takes the
+# dense spectrum
 POOL_RUNS = {
-    "sandwich": ("sandwich", {"radii": "5,10", "trials": "4"}, []),
+    "sandwich": ("sandwich", {"radii": "5,10", "trials": "4"}, ["scipy.linalg._flapack"]),
     "extremal": ("extremal", {"radii": "50", "trials": "2"},
-                 ["scipy.linalg", "scipy.sparse.linalg"]),
-    "extremal_d1_auto": ("extremal", {"radii": "50", "trials": "2", "solver": "auto"}, []),
+                 ["numpy.ma", "scipy.linalg", "scipy.linalg._flapack", "scipy.sparse.linalg"]),
+    "extremal_d1_auto": ("extremal", {"radii": "50", "trials": "2", "solver": "auto"},
+                         ["scipy.linalg._flapack"]),
     "maxlaw": ("maxlaw", {"radii": "50", "trials": "2"}, []),
     "ids": ("ids", {"radii": "20,40", "trials": "2"}, []),
-    "ids_d2": ("ids", {"dimension": "2", "radii": "3", "trials": "2"}, ["scipy.linalg"]),
+    "ids_d2": ("ids", {"dimension": "2", "radii": "3", "trials": "2"},
+               ["numpy.ma", "scipy.linalg", "scipy.linalg._flapack"]),
 }
-# the bisecting cases again with no bundled library, where bisection falls
-# back on scipy.linalg.lapack
+# the bisecting cases again with the extension out of the finder, where
+# bisection takes the same function through scipy.linalg.lapack
 FALLBACK_RUNS = ("sandwich", "extremal_d1_auto")
-WATCHED = ("numpy.random", "numpy.ma", "scipy.linalg", "scipy.sparse.linalg", "scipy.special")
+WATCHED = ("numpy.random", "numpy.ma", "scipy.linalg", "scipy.linalg._flapack",
+           "scipy.sparse.linalg", "scipy.special")
+# eigen's FileFinder given no loaders, so that it finds nothing
+NO_EXTENSION = """
+import importlib.machinery
+from speclab import eigen
+eigen.FileFinder = lambda path, *details: importlib.machinery.FileFinder(path)
+"""
 
 
 @functools.cache
-def pooled_run(case: str, bundled: bool = True) -> dict:
+def pooled_run(case: str, extension: bool = True) -> dict:
     """One `run_experiment` of a POOL_RUNS case at 2 workers in a fresh
     interpreter, over a pool that records which WATCHED modules are loaded
     when it is built and then maps the trials in process, recording every
     module they import; also the SHA-256 of each CSV written. With
-    `bundled` False the lookup of the bundled OpenBLAS finds none."""
+    `extension` False the lookup of scipy's dstebz extension finds none."""
     name, small, _ = POOL_RUNS[case]
     return run_fresh(f"""
 import hashlib, json, sys, tempfile
 from pathlib import Path
-from speclab import harness, openblas
+from speclab import harness
 from speclab.harness import parse_config_text, run_experiment
-
+{"" if extension else NO_EXTENSION}
 record = {{}}
-if not {bundled!r}:
-    openblas.bundled = lambda: ()
 
 
 class RecordingPool:
@@ -115,12 +123,13 @@ print(json.dumps(record))
 
 @pytest.mark.parametrize("case", list(POOL_RUNS))
 def test_pool_is_built_after_the_solver_stack_is_loaded(case):
-    # before the fork: the module of each path the trials take, and numpy's
-    # two that every trial needs; scipy.special is watched to show it is not
-    # loaded by then, since no trial calls it
+    # before the fork: what each path the trials take calls, and the numpy
+    # module every trial needs; scipy.special is watched to show it is not
+    # loaded by then, since no trial calls it, and numpy.ma to show that a
+    # run without scipy.linalg does not load it
     out = pooled_run(case)
     assert out["code"] == 0
-    assert out["at_pool"] == ["numpy.random", "numpy.ma"] + POOL_RUNS[case][2]
+    assert out["at_pool"] == ["numpy.random"] + POOL_RUNS[case][2]
 
 
 @pytest.mark.parametrize("case", list(POOL_RUNS))
@@ -141,19 +150,40 @@ def test_a_bisecting_run_loads_no_scipy_linalg():
 
 @pytest.mark.parametrize("case", FALLBACK_RUNS)
 def test_without_the_bundled_library_bisection_falls_back_on_scipy(case):
-    # the same CSVs, bit for bit, and the pool preloads what the fallback
-    # imports
-    out, bundled = pooled_run(case, bundled=False), pooled_run(case)
+    # with scipy's extension out of the finder: the same CSVs, bit for bit,
+    # and the pool preloads scipy.linalg, which the fallback imports
+    out, extension = pooled_run(case, extension=False), pooled_run(case)
     assert out["code"] == 0
-    assert out["csv"] == bundled["csv"] and out["csv"]
-    assert out["at_pool"] == ["numpy.random", "numpy.ma", "scipy.linalg"]
+    assert out["csv"] == extension["csv"] and out["csv"]
+    assert out["at_pool"] == ["numpy.random", "numpy.ma", "scipy.linalg",
+                              "scipy.linalg._flapack"]
     assert out["imported_by_trials"] == []
+
+
+@pytest.mark.parametrize("extension", [True, False])
+def test_scipys_dstebz_loads_without_scipy_linalg_and_is_its_own(extension):
+    # the extension alone, registered under its name, so that a later
+    # import of scipy.linalg takes it and loads it no second time; a finder
+    # that finds nothing gives the function through the package
+    out = run_fresh(f"""
+import json, sys
+{"" if extension else NO_EXTENSION}
+from speclab.eigen import _dstebz
+
+dstebz = _dstebz()
+loaded = [m for m in {WATCHED!r} if m in sys.modules]
+import scipy.linalg
+print(json.dumps({{"loaded": loaded, "same": scipy.linalg.lapack.dstebz is dstebz,
+                  "registered": sys.modules["scipy.linalg._flapack"].dstebz is dstebz}}))
+""")
+    loaded = ["scipy.linalg._flapack"] if extension else [
+        "numpy.random", "numpy.ma", "scipy.linalg", "scipy.linalg._flapack"]
+    assert out == {"loaded": loaded, "same": True, "registered": True}
 
 
 def test_a_map_that_ends_in_the_parent_builds_no_pool_and_preloads_nothing():
     # a pool start no map repays keeps all 100 trials of a V-only maxlaw run
-    # at 2 workers in the parent. The pre-fork block would load numpy.ma,
-    # which neither these trials nor the max-law test import
+    # at 2 workers in the parent, which loads no solver module
     out = run_fresh(f"""
 import json, math, sys, tempfile
 from pathlib import Path
