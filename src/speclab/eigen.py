@@ -123,6 +123,16 @@ def _dstebz() -> Callable:
     return module.dstebz
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_hops(n: int) -> np.ndarray:
+    """The off-diagonal of an n-site d=1 operator, n - 1 ones; read-only and
+    made once per size, since a ladder solves and counts a few sizes
+    thousands of times."""
+    ones = np.ones(n - 1)
+    ones.flags.writeable = False
+    return ones
+
+
 def full_spectrum(
     op: LatticeOperator, dense_cap: int = DENSE_CAP_DEFAULT, m: int | None = None
 ) -> Spectrum:
@@ -144,7 +154,7 @@ def full_spectrum(
         H = op.to_dense(dense_cap if m is None else n)
         vals = scipy.linalg.eigh(H, eigvals_only=True, driver="ev")
         return Spectrum(values=vals if m is None else vals[-m:], method="dense")
-    ones = np.ones(n - 1)  # the off-diagonal
+    ones = _unit_hops(n)
     if m is None:
         return Spectrum(values=scipy.linalg.eigvalsh_tridiagonal(op.diagonal, ones),
                         method="tridiagonal")
@@ -243,7 +253,7 @@ def count_above(op: LatticeOperator, t: float) -> int:
         return 0
     vu = 2.0 * bound
     # range 1 selects by value; order "B" leaves split-off blocks unsorted
-    found, _, _, _, info = _dstebz()(op.diagonal, np.ones(op.n - 1), 1, t, vu, 0, 0, vu - t, "B")
+    found, _, _, _, info = _dstebz()(op.diagonal, _unit_hops(op.n), 1, t, vu, 0, 0, vu - t, "B")
     if info != 0:
         raise np.linalg.LinAlgError(f"stebz failed to count above {t} (info {info})")
     return found

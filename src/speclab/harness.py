@@ -33,6 +33,7 @@ from .operators import (
     free_laplacian_eigs,
     restrict_potential,
     sample_potential,
+    sample_potentials,
     top_plan,
     top_values,
     v_spectrum,
@@ -101,8 +102,9 @@ POOL_START_S = 0.025
 # a map run slow: maxlaw-logtail's first trial took 0.28-0.42 ms in process
 # against 0.11-0.20 ms for the next four (6 warm runs, 2-vCPU Xeon), so a
 # margin keeps its 100 trials, about 12 ms, in the parent, while
-# sandwich-ladder's first of 1000 (0.5-0.8 ms) already predicts over 0.5 s
-# and pools the other 999 at once
+# sandwich-ladder's first block of 62 or 63 of its 1000 trials (7-8 ms)
+# predicts the other 15 at about 0.11 s, so the head runs at most two of
+# its 16 blocks before it pools the rest
 HEAD_MARGIN = 4
 # a larger sandwich radius keeps the E1 of the radius below when none of its
 # eigenvalues lies this many times norm_bound() above it: more than the
@@ -416,7 +418,7 @@ def _extremal_trial(args):
     """A block of consecutive trials of the extremal/maxlaw pipeline at one
     box radius; `args` is (cfg, L, gamma, trials), `trials` a range. Returns
     {"rows": one dict per trial, in trial order, "wall": the block's time}.
-    Trials that solve H come in blocks of one (`_block_length`).
+    Trials that solve H come in blocks of one (`_trial_blocks`).
 
     H is solved for its top m = `resolved_top_m()` eigenvalues. When the run
     counts intervals, the solve is repeated with m doubled (capped at n)
@@ -515,7 +517,14 @@ def _ids_trial(args):
 
 
 def _sandwich_trial(args):
-    """Largest eigenvalue at every ladder radius from one shared sample.
+    """Largest eigenvalue of H and of V at every ladder radius, each trial
+    from one sample of the largest box; `args` is (cfg, trials), `trials` a
+    range of consecutive trials. Returns {"rows": one dict per trial, in
+    trial order, "wall": the block's time}.
+
+    The block draws its samples in one `sample_potentials` call, from one
+    generator re-keyed per trial (`rekey`), and takes each radius's V
+    maxima in one reduction over the block.
 
     Each box is a principal submatrix of the next, so by Cauchy interlacing
     E1 never falls along the ladder (Horn & Johnson, Matrix Analysis,
@@ -531,28 +540,36 @@ def _sandwich_trial(args):
     first radius and at d >= 2, E1 is solved, to the float it had without
     the count; that tolerance puts it above e.
     """
-    cfg, trial = args
+    cfg, trials = args
     t0 = time.perf_counter()
-    big_spec = cfg.box(max(cfg.radii))
-    rng = derive_stream(cfg.master_seed, trial, STREAM_POTENTIAL)
-    big = sample_potential(big_spec, cfg.law, cfg.alpha, rng)
-    e1 = {}
-    e1v = {}
-    below = None  # the unclipped E1 of the radius below, when it bisected
-    for L in cfg.radii:
-        pot = restrict_potential(big, L)
-        op = build_hamiltonian(pot.spec, pot)
-        bisects = solver_path(cfg.dimension, op.n, 1, cfg.solver, cfg.dense_cap) == "bisection"
-        if (bisects and below is not None
-                and count_above(op, below + LADDER_SLACK * op.norm_bound()) == 0):
-            top = below
-        else:
-            top = float(_solve_h(cfg, op, trial, 1).values[-1])
-        below = top if bisects else None
-        e1[L] = top if top > 0.0 else 0.0
-        e1v[L] = float(np.max(pot.values))
-    return {"trial": trial, "e1_h": e1, "e1_v": e1v,
-            "wall": time.perf_counter() - t0}
+    big_spec, d = cfg.box(max(cfg.radii)), cfg.dimension
+    rng = derive_stream(cfg.master_seed, trials[0])  # re-keyed for each trial
+    bigs = sample_potentials(big_spec, cfg.law, cfg.alpha, [
+        functools.partial(rekey, rng, cfg.master_seed, t, STREAM_POTENTIAL) for t in trials])
+    # the block's V on a (trials,) + (side,) * d grid; each radius's box is
+    # its central block, as in `restrict_potential`
+    R, axes = big_spec.radius, tuple(range(1, d + 1))
+    grid = np.stack([big.values for big in bigs]).reshape((len(trials),) + (big_spec.side,) * d)
+    e1v = {L: np.max(grid[(slice(None),) + (slice(R - L, R + L + 1),) * d], axis=axes).tolist()
+           for L in cfg.radii}
+    bisects = {L: solver_path(d, cfg.box(L).site_count, 1, cfg.solver,
+                              cfg.dense_cap) == "bisection" for L in cfg.radii}
+    rows = []
+    for i, (trial, big) in enumerate(zip(trials, bigs)):
+        e1 = {}
+        below = None  # the unclipped E1 of the radius below, when it bisected
+        for L in cfg.radii:
+            pot = restrict_potential(big, L)
+            op = build_hamiltonian(pot.spec, pot)
+            if (bisects[L] and below is not None
+                    and count_above(op, below + LADDER_SLACK * op.norm_bound()) == 0):
+                top = below
+            else:
+                top = float(_solve_h(cfg, op, trial, 1).values[-1])
+            below = top if bisects[L] else None
+            e1[L] = top if top > 0.0 else 0.0
+        rows.append({"trial": trial, "e1_h": e1, "e1_v": {L: e1v[L][i] for L in cfg.radii}})
+    return {"rows": rows, "wall": time.perf_counter() - t0}
 
 
 def _pin_blas() -> dict[str, int]:
@@ -621,24 +638,32 @@ def _map_trials(cfg: ExperimentConfig, worker, payloads: list):
     return pooled + tail[::-1]
 
 
-def _block_length(cfg: ExperimentConfig) -> int:
-    """Trials per payload of an extremal or maxlaw map: one for trials that
-    solve H, and trials // (8 * workers), at least one, for V-only trials,
-    whose fixed per-call costs a block shares. A radius then still maps at
-    least 8 * workers payloads, or one per trial, so `_map_trials`'s head
-    times at least two of them, and one slow payload (a garbage collection,
-    a cold cache) cannot send a cheap map to a pool."""
-    return 1 if cfg.source != "V" else max(1, cfg.trials // (8 * cfg.workers))
+def _trial_blocks(cfg: ExperimentConfig) -> list[range]:
+    """The runs of consecutive trials a map sends as payloads, in order.
+
+    One trial each where trials solve H or count (`ids`). V-only extremal
+    and maxlaw trials and `sandwich` trials share a block's fixed per-call
+    costs: min(trials, 8 * workers) blocks, whose sizes differ by at most
+    one. A radius then still maps at least 8 * workers payloads, or one per
+    trial, so `_map_trials`'s head times at least two of them, and one slow
+    payload (a garbage collection, a cold cache) cannot send a cheap map to
+    a pool. Equal sizes matter too: the head runs the end of the list, and
+    a short last block would predict the rest far too cheap.
+    """
+    n = cfg.trials
+    if not (cfg.experiment == "sandwich"
+            or (cfg.experiment in ("extremal", "maxlaw") and cfg.source == "V")):
+        return [range(t, t + 1) for t in range(n)]
+    k = min(n, 8 * cfg.workers)
+    return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
-def _map_radii(cfg: ExperimentConfig, worker, payload: Callable,
-               block: int = 1) -> dict[int, list]:
+def _map_radii(cfg: ExperimentConfig, worker, payload: Callable) -> dict[int, list]:
     """One `_map_trials` call over payload(L, trials) for every radius and
-    every run of `block` consecutive trials (a range), the largest radius
-    first so that its long trials start first; each radius's results come
-    back in trial order, one per block."""
-    radii, n = cfg.radii[::-1], cfg.trials  # validate() holds radii increasing
-    blocks = [range(t, min(t + block, n)) for t in range(0, n, block)]
+    every block of `_trial_blocks`, the largest radius first so that its
+    long trials start first; each radius's results come back in trial
+    order, one per block."""
+    radii, blocks = cfg.radii[::-1], _trial_blocks(cfg)  # validate() holds radii increasing
     results = _map_trials(cfg, worker, [payload(L, b) for L in radii for b in blocks])
     k = len(blocks)
     return {L: results[i * k:(i + 1) * k] for i, L in enumerate(radii)}
@@ -707,8 +732,7 @@ def _run_extremal(cfg: ExperimentConfig, out: Path):
     for L, gamma in gammas.items():
         # each radius's V sampling plan, cached here so the workers inherit it
         _top_plan(cfg, L, gamma)
-    by_radius = _map_radii(cfg, _extremal_trial, lambda L, ts: (cfg, L, gammas[L], ts),
-                           _block_length(cfg))
+    by_radius = _map_radii(cfg, _extremal_trial, lambda L, ts: (cfg, L, gammas[L], ts))
     for L, gamma in gammas.items():
         results = [row for block in by_radius[L] for row in block["rows"]]
         rows = []
@@ -800,8 +824,8 @@ def _run_ids(cfg: ExperimentConfig, out: Path):
 
 def _run_sandwich(cfg: ExperimentConfig, out: Path):
     header = ["trial", "L", "e1_h", "e1_v"]
-    payloads = [(cfg, t) for t in range(cfg.trials)]
-    results = _map_trials(cfg, _sandwich_trial, payloads)
+    blocks = _map_trials(cfg, _sandwich_trial, [(cfg, b) for b in _trial_blocks(cfg)])
+    results = [row for block in blocks for row in block["rows"]]
     rows_per_l = {
         L: [[str(r["trial"]), str(L), _fmt(r["e1_h"][L]), _fmt(r["e1_v"][L])]
             for r in results]

@@ -53,14 +53,30 @@ class PotentialSample:
 def sample_potential(
     spec: BoxSpec, law: TailLaw, alpha: float, rng: np.random.Generator
 ) -> PotentialSample:
-    """Draw omega for every site and divide by the decay weights.
+    """Draw omega for every site and divide by the decay weights: the
+    one-trial case of `sample_potentials`, drawing from `rng` as it is.
 
     Uses 1 - rng.random() so the uniforms lie in (0, 1].
     """
-    u = _uniforms(spec, rng)
-    omegas = sample_omega_array(law, u)
+    (potential,) = sample_potentials(spec, law, alpha, [lambda: rng])
+    return potential
+
+
+def sample_potentials(spec: BoxSpec, law: TailLaw, alpha: float,
+                      streams: Sequence[Callable[[], np.random.Generator]]
+                      ) -> list[PotentialSample]:
+    """One `PotentialSample` per trial of a block; a trial's floats do not
+    depend on the block it is drawn in.
+
+    streams[i]() returns trial i's generator at the start of its uniforms,
+    as for `top_values`. The tail law is inverted once, on the block's
+    uniforms in one 1-D array, and the weights divide the result once; each
+    trial's omegas and values are row views of the block's arrays.
+    """
+    u = np.concatenate([_uniforms(spec, stream()) for stream in streams])
+    omegas = sample_omega_array(law, u).reshape(len(streams), spec.site_count)
     values = omegas / weights_array(spec, alpha)
-    return PotentialSample(spec=spec, omegas=omegas, values=values)
+    return [PotentialSample(spec=spec, omegas=o, values=v) for o, v in zip(omegas, values)]
 
 
 def _uniforms(spec: BoxSpec, rng: np.random.Generator) -> np.ndarray:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from speclab.cli import build_parser, overrides_from
 from speclab import eigen, harness, lattice, openblas
@@ -39,6 +40,7 @@ from speclab.operators import (
     PotentialSample,
     build_hamiltonian,
     free_laplacian_eigs,
+    restrict_potential,
     sample_potential,
 )
 from speclab.stats import count_in_intervals, rescale
@@ -531,13 +533,14 @@ def test_ids_run_small(tmp_path):
     assert (Path(cfg.out_dir) / "ids_L150.csv").exists()
 
 
-@pytest.mark.parametrize("kw, block", [
+@pytest.mark.parametrize("kw, sizes", [
     (dict(experiment="ids", radii=(20, 40), ks_threshold=0.5), None),
-    (dict(radii=(20, 40), scaling_mode="power", alpha=0.25), 1),
-    # V-only trials come in blocks of 40 // (8 * 2) = 2
-    (dict(radii=(20, 40), scaling_mode="power", alpha=0.25, source="V", trials=40), 2),
+    (dict(radii=(20, 40), scaling_mode="power", alpha=0.25), [1, 1, 1]),
+    # 40 V-only trials at 2 workers come in 8 * 2 = 16 blocks of 2 or 3
+    (dict(radii=(20, 40), scaling_mode="power", alpha=0.25, source="V", trials=40),
+     [2, 3, 2, 3, 2, 3, 2, 3] * 2),
 ], ids=["ids", "extremal", "extremal-V"])
-def test_a_run_maps_every_radius_and_trial_in_one_pool_call(tmp_path, monkeypatch, kw, block):
+def test_a_run_maps_every_radius_and_trial_in_one_pool_call(tmp_path, monkeypatch, kw, sizes):
     maps = []
     real = harness._map_trials
 
@@ -553,11 +556,12 @@ def test_a_run_maps_every_radius_and_trial_in_one_pool_call(tmp_path, monkeypatc
     # trials in order. An ids payload ends in its trial, an extremal one in
     # its block of consecutive trials: one trial each where trials solve H
     radii = sorted(cfg.radii, reverse=True)
-    if block is None:
+    if sizes is None:
         assert maps == [[(L, t) for L in radii for t in range(n)]]
     else:
-        assert maps == [[(L, range(t, min(t + block, n))) for L in radii
-                         for t in range(0, n, block)]]
+        ends = np.cumsum([0] + sizes).tolist()
+        assert ends[-1] == n
+        assert maps == [[(L, range(a, b)) for L in radii for a, b in zip(ends, ends[1:])]]
     assert set(summary["per_L"]) == {"20", "40"}
     for L in cfg.radii:
         lines = (Path(cfg.out_dir) / f"{cfg.experiment}_L{L}.csv").read_text().splitlines()
@@ -664,15 +668,15 @@ def test_a_certified_radius_bisects_nothing_and_a_larger_v_outside_bisects(monke
     # max V + 3 > E1(25) planted at site 40, inside radius 50 alone
     cfg = ExperimentConfig(**CANONICAL_LADDER, trials=200)
     calls = []
-    solve, count, sample = harness.full_spectrum, harness.count_above, harness.sample_potential
+    solve, count, sample = harness.full_spectrum, harness.count_above, harness.sample_potentials
 
     def planted(spec, *args):
-        pot = sample(spec, *args)
+        (pot,) = sample(spec, *args)
         if trial % 2:
             v = pot.values.copy()
             v[spec.radius + 40] = np.max(v) + 3.0
             pot = PotentialSample(spec=spec, omegas=pot.omegas, values=v)
-        return pot
+        return [pot]
 
     def spy_solve(op, **kw):
         calls.append(("bisect", op.n))
@@ -684,11 +688,11 @@ def test_a_certified_radius_bisects_nothing_and_a_larger_v_outside_bisects(monke
 
     monkeypatch.setattr(harness, "full_spectrum", spy_solve)
     monkeypatch.setattr(harness, "count_above", spy_count)
-    monkeypatch.setattr(harness, "sample_potential", planted)
+    monkeypatch.setattr(harness, "sample_potentials", planted)
     certified = larger_v = 0
     for trial in range(cfg.trials):
         calls.clear()
-        row = harness._sandwich_trial((cfg, trial))
+        (row,) = harness._sandwich_trial((cfg, range(trial, trial + 1)))["rows"]
         counts = {call[1]: call[2] for call in calls if call[0] == "count"}
         bisected = [call[1] for call in calls if call[0] == "bisect"]
         assert sorted(counts) == [101, 201] and bisected[0] == 51
@@ -705,6 +709,69 @@ def test_a_certified_radius_bisects_nothing_and_a_larger_v_outside_bisects(monke
         if trial % 2:
             assert 101 in bisected
     assert certified > 0 and larger_v >= cfg.trials // 2
+
+
+@st.composite
+def sandwich_configs(draw):
+    d = draw(st.sampled_from([1, 2]))
+    top = draw(st.integers(3, 40) if d == 1 else st.integers(2, 6))
+    return ExperimentConfig(
+        experiment="sandwich", dimension=d,
+        radii=tuple(sorted(draw(st.sets(st.integers(1, top - 1), max_size=2)) | {top})),
+        law=draw(st.one_of(st.builds(power_log, st.floats(0.5, 4.0), st.sampled_from([0, 1])),
+                           st.builds(stretched_exp, st.floats(0.2, 1.0)))),
+        alpha=draw(st.sampled_from([0.0, 0.5, 1.0])), trials=1,
+        master_seed=draw(st.integers(0, 2 ** 32)), x_grid=(6.0,),
+        solver=draw(st.sampled_from(["auto", "lanczos"])), out_dir="unused")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=sandwich_configs(), first=st.integers(0, 10 ** 6),
+       split=st.one_of(st.just("one block"), st.sets(st.integers(1, 5))))
+def test_sandwich_block_rows_equal_the_per_trial_rows(cfg, first, split):
+    # blocks of one are each trial's own rows, and their V maxima are those
+    # of its own sample restricted to each radius; a single block and any
+    # uneven split give the same rows, in trial order
+    trials = range(first, first + 6)
+    alone = [row for t in trials for row in harness._sandwich_trial((cfg, range(t, t + 1)))["rows"]]
+    assert [row["trial"] for row in alone] == list(trials)
+    for row in alone:
+        big = sample_potential(cfg.box(max(cfg.radii)), cfg.law, cfg.alpha,
+                               derive_stream(cfg.master_seed, row["trial"], 0))
+        assert row["e1_v"] == {L: float(np.max(restrict_potential(big, L).values))
+                               for L in cfg.radii}
+    cuts = [] if split == "one block" else sorted(first + c for c in split)
+    edges = [trials.start, *cuts, trials.stop]
+    rows = [row for a, b in zip(edges, edges[1:])
+            for row in harness._sandwich_trial((cfg, range(a, b)))["rows"]]
+    assert rows == alone
+
+
+@pytest.mark.parametrize("kw, blocked", [
+    (dict(experiment="sandwich"), True),
+    (dict(source="V"), True),
+    (dict(experiment="maxlaw", source="V", intervals=()), True),
+    (dict(), False),  # both sources: H is solved
+    (dict(source="H"), False),
+    (dict(experiment="maxlaw", source="H", intervals=()), False),
+    (dict(experiment="ids", source="V", ks_threshold=0.5), False),  # counts
+], ids=["sandwich", "extremal-V", "maxlaw-V", "extremal-both", "extremal-H", "maxlaw-H",
+        "ids"])
+@pytest.mark.parametrize("trials, workers", [
+    (1, 1), (7, 1), (8, 1), (9, 1), (100, 2), (1000, 2), (5, 4), (1001, 3)])
+def test_trial_blocks_cover_each_trial_once_in_near_equal_runs(tmp_path, kw, blocked, trials,
+                                                               workers):
+    cfg = small_extremal_cfg(tmp_path, trials=trials, workers=workers, **kw)
+    blocks = harness._trial_blocks(cfg)
+    assert [t for b in blocks for t in b] == list(range(trials))
+    assert all(b.step == 1 and len(b) >= 1 for b in blocks)
+    sizes = [len(b) for b in blocks]
+    if blocked:
+        assert len(blocks) == min(trials, 8 * workers)
+        assert max(sizes) - min(sizes) <= 1
+    else:
+        assert sizes == [1] * trials
 
 
 def test_a_certifying_ladder_writes_the_same_csvs_without_the_bundled_library(
@@ -910,11 +977,11 @@ def logtail_cfg(tmp_path, **overrides):
 
 
 def test_the_logtail_run_builds_no_pool(tmp_path, monkeypatch, pool_log):
-    # its 17 blocks of up to 6 trials take a few ms in all: the parent's
+    # its 16 blocks of 6 or 7 trials take a few ms in all: the parent's
     # first two predict the rest below POOL_START_S. The first run warms up
     usable_cores(monkeypatch, 2)
     cfg = logtail_cfg(tmp_path)
-    assert harness._block_length(cfg) == 6
+    assert [len(b) for b in harness._trial_blocks(cfg)] == [6, 6, 6, 7] * 4
     run_experiment(cfg)
     pool_log.clear()
     assert run_experiment(cfg)["exit_code"] == 0
@@ -930,6 +997,22 @@ def test_a_long_v_only_run_still_builds_a_pool(tmp_path, monkeypatch, pool_log):
     assert run_experiment(cfg)["exit_code"] == 0
     [(size, batch)] = pool_log
     blocks = [range(t, t + 10) for t in range(0, 160, 10)]
+    assert size == 2 and [p[-1] for p in batch] in (blocks[:15], blocks[:14])
+
+
+def test_the_sandwich_ladder_run_pools_after_at_most_two_head_blocks(
+        tmp_path, monkeypatch, pool_log):
+    # the benchmark's sandwich-ladder run: 1000 trials in 16 blocks of 62 or
+    # 63. One block takes several ms, so the head's one or two predict the
+    # rest far above POOL_START_S, and the pool maps the other 14 or 15
+    usable_cores(monkeypatch, 2)
+    text = (Path(__file__).resolve().parent.parent / "configs" / "sandwich.cfg").read_text()
+    cfg = parse_config_text(text, {"trials": "1000", "workers": "2",
+                                   "out": str(tmp_path / "o")})
+    blocks = harness._trial_blocks(cfg)
+    assert len(blocks) == 16 and {len(b) for b in blocks} == {62, 63}
+    assert run_experiment(cfg)["exit_code"] == 0
+    [(size, batch)] = pool_log
     assert size == 2 and [p[-1] for p in batch] in (blocks[:15], blocks[:14])
 
 
@@ -1018,8 +1101,9 @@ def test_one_slow_payload_keeps_a_cheap_map_in_the_parent(tmp_path, monkeypatch,
 SPLITS = {"pool": 0.0, "one-then-pool": 1e-12, "parent": math.inf}
 SPLIT_RUNS = {
     "extremal": dict(radii=(30, 60), trials=8, workers=2),  # both sources, intervals
+    # 40 trials at 2 workers: 16 blocks of 2 or 3
     "sandwich": dict(experiment="sandwich", radii=(10, 20), alpha=1.0,
-                     law=stretched_exp(1.0), trials=12, x_grid=(6.0,), workers=2),
+                     law=stretched_exp(1.0), trials=40, x_grid=(6.0,), workers=2),
     "ids": dict(experiment="ids", radii=(20, 40), trials=4, workers=2, ks_threshold=0.5),
 }
 
@@ -1048,7 +1132,9 @@ def test_output_does_not_depend_on_how_a_map_is_split(tmp_path, monkeypatch, run
         run_experiment(cfg)
         shapes[split] = pooled[mark:]
         outputs[split] = {f.name: digest(f) for f in sorted(Path(cfg.out_dir).iterdir())}
-    n = len(cfg.radii) * cfg.trials if run != "sandwich" else cfg.trials
+    # a payload per radius and block; sandwich trials walk every radius
+    n = len(harness._trial_blocks(cfg)) * (len(cfg.radii) if run != "sandwich" else 1)
+    assert n == {"extremal": 16, "sandwich": 16, "ids": 8}[run]
     assert shapes == {"pool": [n], "one-then-pool": [n - 1], "parent": []}
     assert outputs["pool"] == outputs["one-then-pool"] == outputs["parent"]
     assert any(name.endswith(".csv") for name in outputs["pool"])

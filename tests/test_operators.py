@@ -1,16 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
 from speclab.harness import derive_stream
-from speclab.lattice import BoxSpec, CapacityError
+from speclab.lattice import BoxSpec, CapacityError, weights_array
 from speclab.operators import (
     build_hamiltonian,
     free_laplacian_eigs,
     restrict_potential,
     sample_potential,
+    sample_potentials,
     v_spectrum,
 )
-from speclab.tails import power_log, stretched_exp
+from speclab.tails import power_log, sample_omega_array, stretched_exp
 
 from eigen_oracle import dense_eigs, free_operator
 from lattice_oracle import enumerate_box, ordinal_of
@@ -150,11 +153,31 @@ def test_free_eigs_match_dense_oracle(d, L):
 
 def test_potential_invariants():
     spec, pot = random_potential(2, 5, alpha=0.7)
-    from speclab.lattice import weights_array
-
     w = weights_array(spec, 0.7)
     np.testing.assert_allclose(pot.values * w, pot.omegas, rtol=1e-14)
     assert np.all(pot.omegas >= power_log(2.0, 0).clamp_point - 1e-12)
+
+
+@pytest.mark.parametrize("law", [power_log(2.0, 0), power_log(1.5, 1), stretched_exp(0.5)],
+                         ids=["power", "power-log", "stretched"])
+@pytest.mark.parametrize("alpha", [0.0, 0.8])
+@pytest.mark.parametrize("d, L", [(1, 40), (2, 6)])
+def test_a_block_of_samples_is_each_trials_own_sample(law, alpha, d, L):
+    # every float of a block's sample is the one its trial draws alone, and
+    # the one the plain formula gives: the tail law at 1 - u over the weights
+    spec = BoxSpec(d, L)
+    trials = range(5, 12)
+    block = sample_potentials(spec, law, alpha, [
+        functools.partial(derive_stream, 3, t, 0) for t in trials])
+    assert len(block) == len(trials)
+    for t, pot in zip(trials, block):
+        alone = sample_potential(spec, law, alpha, derive_stream(3, t, 0))
+        omegas = sample_omega_array(law, 1.0 - derive_stream(3, t, 0).random(spec.site_count))
+        assert pot.spec == alone.spec == spec
+        assert pot.values.shape == pot.omegas.shape == (spec.site_count,)
+        assert pot.omegas.tobytes() == alone.omegas.tobytes() == omegas.tobytes()
+        assert (pot.values.tobytes() == alone.values.tobytes()
+                == (omegas / weights_array(spec, alpha)).tobytes())
 
 
 def test_v_spectrum_sorts_descending():
